@@ -307,6 +307,41 @@ BENCHMARK(BM_BootstrapScaling)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// The cell-resampling bootstrap as hmdiv_analyze --profile runs it: the
+// failure rate of a 200k-case trial's 8 joint cells, 500 replicates. Each
+// replicate is one multinomial draw, so the time does not grow with the
+// trial size (the case bootstrap of the same trial costs ~1e8 draws).
+void BM_BootstrapCounts(benchmark::State& state) {
+  const exec::Config config{static_cast<unsigned>(state.range(0))};
+  const sim::TabularWorld world(core::paper::example_model(),
+                                core::paper::trial_profile());
+  stats::Rng trial_rng(20030625);
+  const std::vector<std::uint64_t> cells =
+      sim::joint_cells(world.simulate_counts(200'000, trial_rng));
+  const stats::CountStatistic failure_rate = sim::joint_failure_rate;
+  for (auto _ : state) {
+    stats::Rng rng(7);
+    benchmark::DoNotOptimize(
+        stats::bootstrap_counts(cells, failure_rate, rng, 500, 0.95, config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 500);
+}
+BENCHMARK(BM_BootstrapCounts)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
+
+// One Binomial(n, 0.3) draw (BTRS at every n here): the time per draw
+// should stay flat from n = 1e2 to n = 1e9.
+void BM_Binomial(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  stats::Rng rng(11);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.binomial(n, 0.3));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_Binomial)->Arg(100)->Arg(100'000)->Arg(1'000'000'000);
+
 void BM_UncertaintyScaling(benchmark::State& state) {
   const exec::Config config{static_cast<unsigned>(state.range(0))};
   const core::PosteriorModelSampler sampler(

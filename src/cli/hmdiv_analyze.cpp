@@ -14,10 +14,12 @@
 // simulation, bootstrap interval, operating-threshold sweep) on the exec
 // engine and dumps the observability registry as a table; --profile-csv
 // FILE writes the same snapshot as CSV. --workers HOST:PORT,... fans the
-// profiling workload out over remote hmdiv_serve daemons instead of local
-// worker processes (DESIGN.md §15); results stay bit-identical.
+// workload's posterior, sweep and minimisation phases out over remote
+// hmdiv_serve daemons instead of local worker processes (DESIGN.md §15);
+// results stay bit-identical.
 #include <cerrno>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -45,8 +47,6 @@
 #include "report/profile.hpp"
 #include "report/table.hpp"
 #include "sim/tabular_world.hpp"
-#include "sim/trial.hpp"
-#include "sim/trial_shard.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/rng.hpp"
 #include "stats/special.hpp"
@@ -137,16 +137,18 @@ Improvement parse_improvement(const std::string& spec) {
 }
 
 /// The Monte-Carlo workload behind --profile: exercises every instrumented
-/// engine phase (trial simulation + world cloning, bootstrap replicates,
+/// engine phase (counts trial, cell bootstrap, posterior prediction,
 /// threshold sweep + grid minimisation) on the model under analysis, and
 /// prints a short validation table. By the determinism contract the
 /// numbers are identical at any thread count, so the thread floor is
 /// raised to 2 to keep the pool paths observable on single-core hosts.
-/// The trial, posterior, sweep and minimisation phases route through the
-/// shard engine: with --shards N (or HMDIV_SHARDS) they fan out over N
-/// worker processes; at 1 shard they run in-process, bit-identically.
-/// With --workers they fan out over remote hmdiv_serve daemons instead,
-/// through one warm ClusterRunner connection pool shared by all four
+/// The trial and the bootstrap work on the trial's count table (DESIGN.md
+/// §17): they take microseconds, so they always run in-process. The
+/// posterior, sweep and minimisation phases route through the shard
+/// engine: with --shards N (or HMDIV_SHARDS) they fan out over N worker
+/// processes; at 1 shard they run in-process, bit-identically. With
+/// --workers they fan out over remote hmdiv_serve daemons instead,
+/// through one warm ClusterRunner connection pool shared by the three
 /// phases (DESIGN.md §15) — same partition, same merge, same bits.
 void run_profiling_workload(const core::SequentialModel& model,
                             const core::DemandProfile& trial,
@@ -167,49 +169,29 @@ void run_profiling_workload(const core::SequentialModel& model,
     cluster.emplace(std::move(copts));
   }
 
-  // Trial phase: simulate the model under the trial profile and
-  // cross-check the Eq.-(8) prediction against the observed rate.
+  // Trial phase: simulate the trial's class × machine × human count table
+  // under the trial profile and cross-check the observed failure rate
+  // against the Eq.-(8) prediction.
   constexpr std::uint64_t kCases = 200'000;
-  sim::TabularWorld world(model, trial);
-  sim::TrialRunner runner(world, kCases);
-  const sim::TrialData data =
-      cluster ? sim::run_trial_clustered(world, kCases, /*seed=*/20030625,
-                                         *cluster)
-              : sim::run_trial_sharded(world, kCases, /*seed=*/20030625,
-                                       sopts);
-  const double observed = data.observed_failure_rate();
+  const sim::TabularWorld world(model, trial);
+  stats::Rng trial_rng(20030625);
+  const std::vector<core::ClassCounts> counts =
+      world.simulate_counts(kCases, trial_rng);
+  const std::vector<std::uint64_t> cells = sim::joint_cells(counts);
+  const double observed = sim::joint_failure_rate(cells);
   const double predicted = model.system_failure_probability(trial);
 
-  // Bootstrap phase: percentile interval on the observed failure rate.
-  std::vector<double> failures;
-  failures.reserve(data.records.size());
-  for (const auto& record : data.records) {
-    failures.push_back(record.human_failed ? 1.0 : 0.0);
-  }
-  const auto mean_statistic = [](std::span<const double> s) {
-    double total = 0.0;
-    for (const double v : s) total += v;
-    return total / static_cast<double>(s.size());
-  };
+  // Bootstrap phase: percentile interval on the observed failure rate,
+  // resampling the trial's cells.
   stats::Rng rng(7);
-  const auto interval = stats::bootstrap_percentile(
-      failures, mean_statistic, rng, /*replicates=*/samples, 0.95, config);
+  const auto interval =
+      stats::bootstrap_counts(cells, sim::joint_failure_rate, rng,
+                              /*replicates=*/samples, 0.95, config);
 
-  // Uncertainty phase: rebuild the per-class trial counts from the
-  // simulated records and propagate the Beta posteriors through Eq. (8)
-  // under the *field* profile with the batched engine — the credible
-  // interval shows how much the trial size limits the field prediction.
-  std::vector<core::ClassCounts> counts(model.class_count());
-  for (const auto& record : data.records) {
-    auto& c = counts[record.class_index];
-    ++c.cases;
-    if (record.machine_failed) {
-      ++c.machine_failures;
-      if (record.human_failed) ++c.human_failures_given_machine_failed;
-    } else if (record.human_failed) {
-      ++c.human_failures_given_machine_succeeded;
-    }
-  }
+  // Uncertainty phase: propagate the per-class Beta posteriors of the
+  // trial counts through Eq. (8) under the *field* profile with the
+  // batched engine — the credible interval shows how much the trial size
+  // limits the field prediction.
   const core::PosteriorModelSampler sampler(model.class_names(), counts);
   stats::Rng posterior_rng(11);
   const auto posterior =

@@ -1,5 +1,7 @@
 #include "core/tradeoff_shard.hpp"
 
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "exec/cluster.hpp"
@@ -25,10 +27,10 @@ void encode_profile(Writer& w, const DemandProfile& profile) {
 }
 
 DemandProfile decode_profile(Reader& r) {
-  const std::uint64_t k = r.u64();
+  const std::size_t k = r.count(sizeof(std::uint64_t));
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
   return DemandProfile::from_normalised(std::move(names), r.doubles());
 }
 
@@ -60,15 +62,13 @@ TradeoffAnalyzer decode_analyzer(Reader& r) {
   machine.cancer_class_means = r.doubles();
   machine.normal_class_means = r.doubles();
   DemandProfile cancer_profile = decode_profile(r);
-  std::vector<HumanFnResponse> fn_response(
-      static_cast<std::size_t>(r.u64()));
+  std::vector<HumanFnResponse> fn_response(r.count(2 * sizeof(double)));
   for (HumanFnResponse& response : fn_response) {
     response.p_fail_given_machine_prompted = r.f64();
     response.p_fail_given_machine_silent = r.f64();
   }
   DemandProfile normal_profile = decode_profile(r);
-  std::vector<HumanFpResponse> fp_response(
-      static_cast<std::size_t>(r.u64()));
+  std::vector<HumanFpResponse> fp_response(r.count(2 * sizeof(double)));
   for (HumanFpResponse& response : fp_response) {
     response.p_recall_given_machine_prompted = r.f64();
     response.p_recall_given_machine_silent = r.f64();
@@ -107,6 +107,16 @@ SystemOperatingPoint decode_point(Reader& r) {
   return p;
 }
 
+/// Rejects a grid longer than kMaxSweepShardPoints before the handler
+/// sizes or walks anything from it.
+void check_grid(std::string_view workload, std::uint64_t points) {
+  if (points > kMaxSweepShardPoints) {
+    throw exec::wire::ProtocolError(
+        std::string(workload) + " blob: grid of " + std::to_string(points) +
+        " points exceeds the cap of " + std::to_string(kMaxSweepShardPoints));
+  }
+}
+
 // --- "core.sweep" ---------------------------------------------------------
 // Blob: analyzer, doubles thresholds. Result: u64 n, n × operating point.
 
@@ -118,6 +128,7 @@ std::vector<std::uint8_t> handle_sweep_shard(
   if (!r.exhausted()) {
     throw exec::wire::ProtocolError("core.sweep blob: trailing bytes");
   }
+  check_grid("core.sweep", thresholds.size());
   const exec::wire::ShardRange range =
       exec::wire::task_range(thresholds.size(), task);
   std::vector<SystemOperatingPoint> points(
@@ -149,6 +160,7 @@ std::vector<std::uint8_t> handle_minimise_shard(
   if (!r.exhausted()) {
     throw exec::wire::ProtocolError("core.minimise blob: trailing bytes");
   }
+  check_grid("core.minimise", steps);
   const exec::wire::ShardRange range = exec::wire::task_range(steps, task);
   const CostedOperatingPoint best = analyzer.minimise_cost_range(
       cost_fn, cost_fp, lo, hi, static_cast<std::size_t>(steps),

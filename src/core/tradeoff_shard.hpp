@@ -16,6 +16,7 @@
 //                     rule exactly.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/tradeoff.hpp"
@@ -30,6 +31,11 @@ namespace hmdiv::core {
 /// Shard-workload names the trade-off analyses register under.
 inline constexpr std::string_view kSweepShardWorkload = "core.sweep";
 inline constexpr std::string_view kMinimiseShardWorkload = "core.minimise";
+
+/// Largest grid a worker accepts from one task blob, for the sweep's
+/// threshold count and the minimisation's step count alike (checked while
+/// decoding): hmdiv_analyze's --grid-steps ceiling.
+inline constexpr std::uint64_t kMaxSweepShardPoints = 5'000'000;
 
 /// TradeoffAnalyzer::sweep across worker processes (options.shards; 1 runs
 /// in-process without spawning). Output is bit-identical to

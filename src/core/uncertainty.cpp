@@ -40,20 +40,10 @@ PosteriorModelSampler::PosteriorModelSampler(
       throw std::invalid_argument(
           "PosteriorModelSampler: every class needs at least one case");
     }
-    if (c.machine_failures > c.cases) {
+    if (!c.consistent()) {
       throw std::invalid_argument(
-          "PosteriorModelSampler: machine_failures > cases");
-    }
-    if (c.human_failures_given_machine_failed > c.machine_failures) {
-      throw std::invalid_argument(
-          "PosteriorModelSampler: human failures exceed machine-failure "
-          "cases");
-    }
-    const std::uint64_t machine_successes = c.cases - c.machine_failures;
-    if (c.human_failures_given_machine_succeeded > machine_successes) {
-      throw std::invalid_argument(
-          "PosteriorModelSampler: human failures exceed machine-success "
-          "cases");
+          "PosteriorModelSampler: a failure count exceeds the cases it "
+          "conditions on");
     }
   }
   // Hoist the per-parameter Beta(k + a, n − k + a) Marsaglia–Tsang

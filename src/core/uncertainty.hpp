@@ -31,6 +31,13 @@ struct ClassCounts {
   std::uint64_t human_failures_given_machine_failed = 0;
   /// Human failures among the machine-success cases.
   std::uint64_t human_failures_given_machine_succeeded = 0;
+
+  /// True iff no failure count exceeds the cases it conditions on.
+  [[nodiscard]] bool consistent() const {
+    return machine_failures <= cases &&
+           human_failures_given_machine_failed <= machine_failures &&
+           human_failures_given_machine_succeeded <= cases - machine_failures;
+  }
 };
 
 /// A propagated prediction: posterior mean and credible interval.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,11 +54,12 @@ std::vector<std::uint8_t> encode_blob(const PosteriorModelSampler& sampler,
 
 UqShardConfig decode_blob(std::span<const std::uint8_t> blob) {
   Reader r(blob);
-  const std::uint64_t k = r.u64();
+  // Each class takes at least a name length and four counts.
+  const std::size_t k = r.count(5 * sizeof(std::uint64_t));
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
-  std::vector<ClassCounts> counts(static_cast<std::size_t>(k));
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
+  std::vector<ClassCounts> counts(k);
   for (ClassCounts& c : counts) {
     c.cases = r.u64();
     c.machine_failures = r.u64();
@@ -65,15 +67,21 @@ UqShardConfig decode_blob(std::span<const std::uint8_t> blob) {
     c.human_failures_given_machine_succeeded = r.u64();
   }
   std::vector<double> probabilities = r.doubles();
-  UqShardConfig config{
-      PosteriorModelSampler(names, std::move(counts)),
-      DemandProfile::from_normalised(std::move(names),
-                                     std::move(probabilities)),
-      r.u64(), r.u64()};
+  const std::uint64_t total_draws = r.u64();
+  const std::uint64_t base = r.u64();
   if (!r.exhausted()) {
     throw exec::wire::ProtocolError("core.uq.sample blob: trailing bytes");
   }
-  return config;
+  if (total_draws > kMaxUqShardDraws) {
+    throw exec::wire::ProtocolError(
+        "core.uq.sample blob: total_draws " + std::to_string(total_draws) +
+        " exceeds the cap of " + std::to_string(kMaxUqShardDraws));
+  }
+  return UqShardConfig{
+      PosteriorModelSampler(names, std::move(counts)),
+      DemandProfile::from_normalised(std::move(names),
+                                     std::move(probabilities)),
+      total_draws, base};
 }
 
 /// Worker side: rebuild the sampler, fill this shard's slice of the chunk

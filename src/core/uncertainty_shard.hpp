@@ -11,6 +11,7 @@
 // output bit-for-bit.
 #pragma once
 
+#include <cstdint>
 #include <span>
 
 #include "core/uncertainty.hpp"
@@ -25,6 +26,11 @@ namespace hmdiv::core {
 /// Shard-workload name posterior sampling registers under.
 inline constexpr std::string_view kUncertaintyShardWorkload =
     "core.uq.sample";
+
+/// Largest total_draws a worker accepts from one task blob (checked while
+/// decoding, before the draw buffer is sized): hmdiv_analyze's --samples
+/// ceiling, at most 80 MB of draws in a worker that runs them all.
+inline constexpr std::uint64_t kMaxUqShardDraws = 10'000'000;
 
 /// PosteriorModelSampler::sample_failure_probabilities across worker
 /// processes (options.shards; 1 runs in-process without spawning). Fills

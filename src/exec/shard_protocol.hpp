@@ -131,11 +131,22 @@ class Reader {
     const auto raw = take(n);
     return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
   }
-  [[nodiscard]] std::vector<double> doubles() {
+  /// Reads a u64 element count and checks that that many elements of at
+  /// least `min_bytes` each fit in the rest of the payload, before the
+  /// caller sizes anything from it: a hostile count cannot make a decoder
+  /// allocate more than the frame it arrived in.
+  [[nodiscard]] std::size_t count(std::size_t min_bytes) {
     const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes) {
+      throw ProtocolError("shard frame: element count exceeds the payload");
+    }
+    return static_cast<std::size_t>(n);
+  }
+  [[nodiscard]] std::vector<double> doubles() {
+    const std::size_t n = count(sizeof(double));
     std::vector<double> out;
-    out.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) out.push_back(f64());
     return out;
   }
   [[nodiscard]] std::span<const std::uint8_t> take(std::uint64_t n) {

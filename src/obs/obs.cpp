@@ -20,42 +20,50 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-std::uint64_t Histogram::quantile(double q) const noexcept {
-  const std::uint64_t total = count();
-  if (total == 0) return 0;
+namespace {
+
+/// The q-quantile of a power-of-two bucketed histogram: the upper bound of
+/// the bucket holding it, clamped to the observed [min, max] so that no
+/// quantile reads above the largest (or below the smallest) recorded
+/// value. Falls back to `max` when the target lies past the buckets.
+template <typename BucketAt>
+std::uint64_t bucket_quantile(std::uint64_t count, std::uint64_t min,
+                              std::uint64_t max, std::size_t buckets,
+                              BucketAt bucket_at, double q) noexcept {
+  if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(total)));
+      std::ceil(q * static_cast<double>(count)));
   std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < kBuckets; ++b) {
-    cumulative += buckets_[b].load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < buckets; ++b) {
+    cumulative += bucket_at(b);
     if (cumulative >= target && cumulative > 0) {
       // Upper bound of bucket b: values in [2^(b-1), 2^b).
-      if (b == 0) return 0;
-      if (b >= 64) return ~std::uint64_t{0};
-      return (std::uint64_t{1} << b) - 1;
+      const std::uint64_t upper = b == 0    ? 0
+                                  : b >= 64 ? ~std::uint64_t{0}
+                                            : (std::uint64_t{1} << b) - 1;
+      return std::min(std::max(upper, min), max);
     }
   }
-  return max();
+  return max;
+}
+
+}  // namespace
+
+std::uint64_t Histogram::quantile(double q) const noexcept {
+  return bucket_quantile(
+      count(), min(), max(), kBuckets,
+      [this](std::size_t b) {
+        return buckets_[b].load(std::memory_order_relaxed);
+      },
+      q);
 }
 
 std::uint64_t snapshot_quantile(const HistogramSnapshot& h,
                                 double q) noexcept {
-  if (h.count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(h.count)));
-  std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-    cumulative += h.buckets[b];
-    if (cumulative >= target && cumulative > 0) {
-      // Upper bound of bucket b: values in [2^(b-1), 2^b).
-      if (b == 0) return 0;
-      if (b >= 64) return ~std::uint64_t{0};
-      return (std::uint64_t{1} << b) - 1;
-    }
-  }
-  return h.max;
+  return bucket_quantile(
+      h.count, h.min, h.max, h.buckets.size(),
+      [&h](std::size_t b) { return h.buckets[b]; }, q);
 }
 
 void Histogram::merge(const HistogramSnapshot& other) noexcept {

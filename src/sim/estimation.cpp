@@ -50,28 +50,17 @@ std::vector<core::ClassCounts> EstimationResult::counts() const {
   return out;
 }
 
-EstimationResult estimate_sequential_model(const TrialData& data,
-                                           double confidence) {
-  const std::size_t k = data.class_names.size();
+EstimationResult estimate_sequential_model(
+    std::vector<std::string> class_names,
+    std::span<const core::ClassCounts> counts, double confidence) {
+  const std::size_t k = class_names.size();
   if (k == 0) {
     throw std::invalid_argument("estimate_sequential_model: no classes");
   }
-  std::vector<core::ClassCounts> counts(k);
-  for (const auto& r : data.records) {
-    if (r.class_index >= k) {
-      throw std::invalid_argument(
-          "estimate_sequential_model: record class out of range");
-    }
-    core::ClassCounts& c = counts[r.class_index];
-    ++c.cases;
-    if (r.machine_failed) {
-      ++c.machine_failures;
-      if (r.human_failed) ++c.human_failures_given_machine_failed;
-    } else if (r.human_failed) {
-      ++c.human_failures_given_machine_succeeded;
-    }
+  if (counts.size() != k) {
+    throw std::invalid_argument(
+        "estimate_sequential_model: counts and class names differ in size");
   }
-
   std::vector<ClassEstimate> classes;
   classes.reserve(k);
   std::vector<double> weights(k);
@@ -79,8 +68,13 @@ EstimationResult estimate_sequential_model(const TrialData& data,
     const core::ClassCounts& c = counts[x];
     if (c.cases == 0) {
       throw std::invalid_argument(
-          "estimate_sequential_model: class '" + data.class_names[x] +
+          "estimate_sequential_model: class '" + class_names[x] +
           "' has no cases in the trial");
+    }
+    if (!c.consistent()) {
+      throw std::invalid_argument(
+          "estimate_sequential_model: inconsistent counts for class '" +
+          class_names[x] + "'");
     }
     ClassEstimate e;
     e.counts = c;
@@ -106,9 +100,31 @@ EstimationResult estimate_sequential_model(const TrialData& data,
     weights[x] = static_cast<double>(c.cases);
     classes.push_back(e);
   }
-  return EstimationResult{
-      data.class_names, std::move(classes),
-      core::DemandProfile::from_weights(data.class_names, std::move(weights))};
+  core::DemandProfile empirical =
+      core::DemandProfile::from_weights(class_names, std::move(weights));
+  return EstimationResult{std::move(class_names), std::move(classes),
+                          std::move(empirical)};
+}
+
+EstimationResult estimate_sequential_model(const TrialData& data,
+                                           double confidence) {
+  const std::size_t k = data.class_names.size();
+  std::vector<core::ClassCounts> counts(k);
+  for (const auto& r : data.records) {
+    if (r.class_index >= k) {
+      throw std::invalid_argument(
+          "estimate_sequential_model: record class out of range");
+    }
+    core::ClassCounts& c = counts[r.class_index];
+    ++c.cases;
+    if (r.machine_failed) {
+      ++c.machine_failures;
+      if (r.human_failed) ++c.human_failures_given_machine_failed;
+    } else if (r.human_failed) {
+      ++c.human_failures_given_machine_succeeded;
+    }
+  }
+  return estimate_sequential_model(data.class_names, counts, confidence);
 }
 
 std::vector<stats::TestResult> association_by_class(const TrialData& data) {

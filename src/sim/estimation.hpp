@@ -9,6 +9,8 @@
 // composes directly with simulated trials.
 #pragma once
 
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/demand_profile.hpp"
@@ -52,9 +54,17 @@ struct EstimationResult {
   [[nodiscard]] std::vector<core::ClassCounts> counts() const;
 };
 
-/// Estimates per-class parameters from trial data at `confidence` level.
-/// Throws if any class has zero cases (the trial cannot say anything about
-/// it — enlarge the trial or merge classes).
+/// Estimates per-class parameters from a trial's count table (e.g. a
+/// TabularWorld counts trial) at `confidence` level. Throws if the sizes
+/// differ, the counts are inconsistent, or any class has zero cases (the
+/// trial cannot say anything about it — enlarge the trial or merge
+/// classes).
+[[nodiscard]] EstimationResult estimate_sequential_model(
+    std::vector<std::string> class_names,
+    std::span<const core::ClassCounts> counts, double confidence = 0.95);
+
+/// Record form: folds the records into their count table and estimates
+/// from that; same result as the counts form on the same table.
 [[nodiscard]] EstimationResult estimate_sequential_model(
     const TrialData& data, double confidence = 0.95);
 

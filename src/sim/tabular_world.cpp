@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace hmdiv::sim {
 
 namespace {
@@ -37,7 +39,8 @@ TabularWorld::TabularWorld(core::SequentialModel model,
                            core::DemandProfile profile)
     : model_(std::move(model)),
       profile_(std::move(profile)),
-      joint_alias_(joint_probabilities(model_, profile_)) {
+      joint_(joint_probabilities(model_, profile_)),
+      joint_alias_(joint_) {
   joint_records_.resize(joint_alias_.size());
   for (std::size_t j = 0; j < joint_records_.size(); ++j) {
     joint_records_[j].class_index = j >> 2;
@@ -78,6 +81,54 @@ void TabularWorld::simulate_batch(std::span<CaseRecord> out,
     }
     out = out.subspan(n);
   }
+}
+
+std::vector<core::ClassCounts> TabularWorld::simulate_counts(
+    std::uint64_t case_count, stats::Rng& rng) const {
+  HMDIV_OBS_SCOPED_TIMER("sim.trial.run_ns");
+  HMDIV_OBS_COUNT("sim.trial.runs", 1);
+  HMDIV_OBS_COUNT("sim.trial.cases", case_count);
+  std::vector<std::uint64_t> cells(joint_.size());
+  rng.multinomial(case_count, joint_, cells);
+  std::vector<core::ClassCounts> counts(model_.class_count());
+  for (std::size_t x = 0; x < counts.size(); ++x) {
+    core::ClassCounts& c = counts[x];
+    const std::uint64_t* cell = cells.data() + 4 * x;
+    c.cases = cell[0] + cell[1] + cell[2] + cell[3];
+    c.machine_failures = cell[2] + cell[3];
+    c.human_failures_given_machine_failed = cell[3];
+    c.human_failures_given_machine_succeeded = cell[1];
+  }
+  return counts;
+}
+
+std::vector<std::uint64_t> joint_cells(
+    std::span<const core::ClassCounts> counts) {
+  std::vector<std::uint64_t> cells(4 * counts.size());
+  for (std::size_t x = 0; x < counts.size(); ++x) {
+    const core::ClassCounts& c = counts[x];
+    if (!c.consistent()) {
+      throw std::invalid_argument("joint_cells: inconsistent class counts");
+    }
+    const std::uint64_t machine_successes = c.cases - c.machine_failures;
+    cells[4 * x + 0] =
+        machine_successes - c.human_failures_given_machine_succeeded;
+    cells[4 * x + 1] = c.human_failures_given_machine_succeeded;
+    cells[4 * x + 2] =
+        c.machine_failures - c.human_failures_given_machine_failed;
+    cells[4 * x + 3] = c.human_failures_given_machine_failed;
+  }
+  return cells;
+}
+
+double joint_failure_rate(std::span<const std::uint64_t> cells) {
+  std::uint64_t failures = 0;
+  std::uint64_t cases = 0;
+  for (std::size_t j = 0; j < cells.size(); ++j) {
+    cases += cells[j];
+    if (j % 2 == 1) failures += cells[j];
+  }
+  return static_cast<double>(failures) / static_cast<double>(cases);
 }
 
 std::size_t TabularWorld::class_count() const { return model_.class_count(); }

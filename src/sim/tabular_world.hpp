@@ -6,8 +6,13 @@
 // a simulated trial on this world).
 #pragma once
 
+#include <cstdint>
+#include <span>
+#include <vector>
+
 #include "core/demand_profile.hpp"
 #include "core/sequential_model.hpp"
+#include "core/uncertainty.hpp"
 #include "sim/trial.hpp"
 #include "stats/alias_table.hpp"
 
@@ -33,6 +38,16 @@ class TabularWorld final : public World {
   void simulate_batch(std::span<CaseRecord> out, stats::Rng& rng) override;
   [[nodiscard]] std::size_t class_count() const override;
   [[nodiscard]] const std::vector<std::string>& class_names() const override;
+
+  /// Counts trial: the per-class outcome table of `case_count` demands, as
+  /// one Multinomial(case_count, joint) draw over the 4·K joint cells. The
+  /// cases are i.i.d., so this is the count table of a record trial of the
+  /// same size in distribution (not in stream), at O(K) cost whatever the
+  /// size. Everything the paper estimates from a trial (Eqs. 4, 7-10, the
+  /// Wilson intervals, the Beta posteriors, the observed failure rate)
+  /// depends on the records only through this table.
+  [[nodiscard]] std::vector<core::ClassCounts> simulate_counts(
+      std::uint64_t case_count, stats::Rng& rng) const;
   [[nodiscard]] std::unique_ptr<World> clone() const override {
     return std::make_unique<TabularWorld>(*this);
   }
@@ -47,6 +62,9 @@ class TabularWorld final : public World {
  private:
   core::SequentialModel model_;
   core::DemandProfile profile_;
+  /// The joint outcome distribution, entry 4·x + 2·machine_failed +
+  /// human_failed: the counts trial's multinomial weights.
+  std::vector<double> joint_;
   /// Alias table over the joint outcome distribution, entry
   /// 4·x + 2·machine_failed + human_failed with probability
   /// p(x)·p(machine|x)·p(human|machine,x); hoisted from model_ and
@@ -56,5 +74,17 @@ class TabularWorld final : public World {
   /// the kernel's decode is a single 16-byte table copy.
   std::vector<CaseRecord> joint_records_;
 };
+
+/// The 4·K joint cells of a count table in TabularWorld's joint layout:
+/// cell 4·x + 2·machine_failed + human_failed, so the odd cells are the
+/// system failures. The input of stats::bootstrap_counts. Throws
+/// std::invalid_argument if a class's counts are inconsistent (more
+/// failures than the cases they condition on).
+[[nodiscard]] std::vector<std::uint64_t> joint_cells(
+    std::span<const core::ClassCounts> counts);
+
+/// Observed system failure rate of a table in that layout: the odd cells
+/// over all cells. A stats::CountStatistic for bootstrap_counts.
+[[nodiscard]] double joint_failure_rate(std::span<const std::uint64_t> cells);
 
 }  // namespace hmdiv::sim

@@ -1,6 +1,7 @@
 #include "sim/trial_shard.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/demand_profile.hpp"
@@ -50,28 +51,34 @@ struct TrialShardConfig {
 
 TrialShardConfig decode_blob(std::span<const std::uint8_t> blob) {
   exec::wire::Reader r(blob);
-  const std::uint64_t k = r.u64();
+  // Each class takes at least a name length and three doubles.
+  const std::size_t k = r.count(4 * sizeof(std::uint64_t));
   std::vector<std::string> names;
-  names.reserve(static_cast<std::size_t>(k));
-  for (std::uint64_t x = 0; x < k; ++x) names.push_back(r.str());
-  std::vector<core::ClassConditional> parameters(
-      static_cast<std::size_t>(k));
+  names.reserve(k);
+  for (std::size_t x = 0; x < k; ++x) names.push_back(r.str());
+  std::vector<core::ClassConditional> parameters(k);
   for (auto& c : parameters) {
     c.p_machine_fails = r.f64();
     c.p_human_fails_given_machine_fails = r.f64();
     c.p_human_fails_given_machine_succeeds = r.f64();
   }
   std::vector<double> probabilities = r.doubles();
+  const std::uint64_t case_count = r.u64();
+  const std::uint64_t seed = r.u64();
+  if (!r.exhausted()) {
+    throw exec::wire::ProtocolError("sim.trial blob: trailing bytes");
+  }
+  if (case_count > kMaxTrialShardCases) {
+    throw exec::wire::ProtocolError(
+        "sim.trial blob: case_count " + std::to_string(case_count) +
+        " exceeds the cap of " + std::to_string(kMaxTrialShardCases));
+  }
   core::SequentialModel model(names, std::move(parameters));
   core::DemandProfile profile =
       core::DemandProfile::from_normalised(std::move(names),
                                            std::move(probabilities));
-  TrialShardConfig config{
-      TabularWorld(std::move(model), std::move(profile)), r.u64(), r.u64()};
-  if (!r.exhausted()) {
-    throw exec::wire::ProtocolError("sim.trial blob: trailing bytes");
-  }
-  return config;
+  return TrialShardConfig{TabularWorld(std::move(model), std::move(profile)),
+                          case_count, seed};
 }
 
 std::vector<std::uint8_t> encode_records(

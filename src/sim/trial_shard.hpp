@@ -24,6 +24,12 @@ namespace hmdiv::sim {
 /// Shard-workload name trial runs are registered under.
 inline constexpr std::string_view kTrialShardWorkload = "sim.trial";
 
+/// Largest case_count a worker accepts from one task blob (checked while
+/// decoding, before anything is sized from it): 50 times the CLI's
+/// profiling trial, at most 160 MB of records in a worker that runs the
+/// whole trial. Larger trials belong to TabularWorld::simulate_counts.
+inline constexpr std::uint64_t kMaxTrialShardCases = 10'000'000;
+
 /// Runs a `case_count`-case trial on `world` across worker processes
 /// (options.shards; 1 falls back to the in-process TrialRunner without
 /// spawning anything). Output is bit-identical to

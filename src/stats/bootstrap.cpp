@@ -135,4 +135,41 @@ BootstrapResult bootstrap_paired(std::span<const double> x,
   return summarise(estimate, values, confidence);
 }
 
+BootstrapResult bootstrap_counts(std::span<const std::uint64_t> cells,
+                                 const CountStatistic& statistic, Rng& rng,
+                                 std::size_t replicates, double confidence,
+                                 const exec::Config& config) {
+  std::uint64_t cases = 0;
+  for (const std::uint64_t c : cells) cases += c;
+  check_args(static_cast<std::size_t>(cases), replicates, confidence);
+  HMDIV_OBS_SCOPED_TIMER("stats.bootstrap.run_ns");
+  HMDIV_OBS_COUNT("stats.bootstrap.calls", 1);
+  HMDIV_OBS_COUNT("stats.bootstrap.replicates", replicates);
+  const double estimate = statistic(cells);
+  const std::uint64_t base = rng.next_u64();
+  exec::Workspace& workspace = exec::thread_workspace();
+  const exec::Workspace::Scope scope(workspace);
+  const std::span<double> values = workspace.alloc<double>(replicates);
+  // The counts themselves are the multinomial weights: the running
+  // remainder of integer weights stays exact, so the conditional ratios
+  // carry no accumulated rounding.
+  const std::span<double> weights = workspace.alloc<double>(cells.size());
+  std::copy(cells.begin(), cells.end(), weights.begin());
+  exec::parallel_for_chunks(
+      replicates, kReplicateGrain,
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        exec::Workspace& local = exec::thread_workspace();
+        const exec::Workspace::Scope chunk_scope(local);
+        const std::span<std::uint64_t> resample =
+            local.alloc<std::uint64_t>(cells.size());
+        for (std::size_t r = begin; r < end; ++r) {
+          Rng replicate_rng(base, r);
+          replicate_rng.multinomial(cases, weights, resample);
+          values[r] = statistic(resample);
+        }
+      },
+      config);
+  return summarise(estimate, values, confidence);
+}
+
 }  // namespace hmdiv::stats

@@ -6,8 +6,13 @@
 // the substream Rng(base, r), where `base` is one 64-bit draw from the
 // caller's generator, so results are bit-identical for any thread count
 // (the caller's rng advances by exactly one step either way).
+//
+// bootstrap_percentile and bootstrap_paired resample cases one by one;
+// bootstrap_counts resamples a table of cell counts in one multinomial
+// draw (DESIGN.md §17), for statistics that depend only on those counts.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -47,6 +52,23 @@ using PairedStatistic =
     std::span<const double> x, std::span<const double> y,
     const PairedStatistic& statistic, Rng& rng, std::size_t replicates = 2000,
     double confidence = 0.95,
+    const exec::Config& config = exec::default_config());
+
+/// A statistic of a table of cell counts (e.g. the K×4 class × machine ×
+/// human outcome table of a trial).
+using CountStatistic = std::function<double(std::span<const std::uint64_t>)>;
+
+/// Cell-resampling bootstrap: the case-resampling bootstrap of any
+/// statistic that depends on a sample only through its cell counts. The
+/// N = Σ cells cases are resampled as one Multinomial(N, cells / N) draw
+/// per replicate, from substream Rng(base, r) like bootstrap_percentile,
+/// so a replicate costs O(cells) instead of O(N) and the result is
+/// bit-identical at any thread count. The same distribution as resampling
+/// the N cases one by one, not the same stream. Throws if every cell is
+/// empty or replicates == 0.
+[[nodiscard]] BootstrapResult bootstrap_counts(
+    std::span<const std::uint64_t> cells, const CountStatistic& statistic,
+    Rng& rng, std::size_t replicates = 2000, double confidence = 0.95,
     const exec::Config& config = exec::default_config());
 
 }  // namespace hmdiv::stats

@@ -530,11 +530,132 @@ double Rng::beta(const GammaPrep& a, const GammaPrep& b) {
   return x / (x + y);
 }
 
+namespace {
+
+/// Below this mean n·min(p, 1−p) binomial() inverts the CDF; at or above
+/// it BTRS takes over (Hörmann's table of constants is fitted for it).
+constexpr double kBinomialInversionMax = 10.0;
+
+/// fc(k) = log k! − [(k + ½)·log(k + 1) − (k + 1) + ½·log 2π], the error of
+/// Stirling's formula for k!. Computed directly below 10, by the
+/// three-term asymptotic series above (error < 1e-10 there). Written without lgamma, which sets
+/// the global signgam and so races when replicates run on several threads.
+double stirling_tail(double k) noexcept {
+  if (k < 10.0) {
+    constexpr double kFactorial[10] = {1.0,   1.0,    2.0,    6.0,     24.0,
+                                       120.0, 720.0, 5040.0, 40320.0, 362880.0};
+    constexpr double kHalfLog2Pi = 0.91893853320467274178;
+    return std::log(kFactorial[static_cast<int>(k)]) -
+           (k + 0.5) * std::log(k + 1.0) + (k + 1.0) - kHalfLog2Pi;
+  }
+  const double inv = 1.0 / (k + 1.0);
+  const double inv2 = inv * inv;
+  return (1.0 / 12.0 - (1.0 / 360.0 - inv2 / 1260.0) * inv2) * inv;
+}
+
+/// Sequential-search inversion for p <= 0.5 and n·p < kBinomialInversionMax:
+/// walks the pmf up from P(0) = qⁿ with P(k) = P(k−1)·((n+1)/k − 1)·p/q.
+/// The walk stops at a bound ten standard deviations past the mean; a
+/// uniform that rounding pushes past it is redrawn rather than let run on.
+std::uint64_t binomial_inversion(Rng& rng, std::uint64_t n, double p) {
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double s = p / q;
+  const double a = (nd + 1.0) * s;
+  const double p0 = std::exp(nd * std::log1p(-p));
+  const double bound = std::min(nd, nd * p + 10.0 * std::sqrt(nd * p * q + 1.0));
+  for (;;) {
+    double u = rng.uniform();
+    double pk = p0;
+    double k = 0.0;
+    while (u > pk && k <= bound) {
+      u -= pk;
+      k += 1.0;
+      pk *= a / k - s;
+    }
+    if (k <= bound) return static_cast<std::uint64_t>(k);
+  }
+}
+
+/// BTRS for p <= 0.5 and n·p >= kBinomialInversionMax. The acceptance test
+/// compares against log f(k)/f(m) (m the mode), written through Stirling
+/// tails so that no two large logarithms cancel even at n = 1e9.
+std::uint64_t binomial_btrs(Rng& rng, std::uint64_t n, double p) {
+  const double nd = static_cast<double>(n);
+  const double q = 1.0 - p;
+  const double spq = std::sqrt(nd * p * q);
+  const double b = 1.15 + 2.53 * spq;
+  const double a = -0.0873 + 0.0248 * b + 0.01 * p;
+  const double c = nd * p + 0.5;
+  const double v_r = 0.92 - 4.2 / b;
+  const double alpha = (2.83 + 5.1 / b) * spq;
+  const double r = p / q;
+  const double m = std::floor((nd + 1.0) * p);
+  const double mode_terms = stirling_tail(m) + stirling_tail(nd - m);
+  for (;;) {
+    const double u = rng.uniform() - 0.5;
+    const double v = rng.uniform();
+    const double us = 0.5 - std::fabs(u);
+    const double k = std::floor((2.0 * a / us + b) * u + c);
+    if (!(k >= 0.0 && k <= nd)) continue;
+    // Quick accept: inside this box the hat lies under the pmf, so k needs
+    // no pmf evaluation.
+    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
+    const double log_v = std::log(v * alpha / (a / (us * us) + b));
+    const double log_ratio =
+        (m + 0.5) * std::log((m + 1.0) / (r * (nd - m + 1.0))) +
+        (nd + 1.0) * std::log((nd - m + 1.0) / (nd - k + 1.0)) +
+        (k + 0.5) * std::log(r * (nd - k + 1.0) / (k + 1.0)) + mode_terms -
+        stirling_tail(k) - stirling_tail(nd - k);
+    if (log_v <= log_ratio) return static_cast<std::uint64_t>(k);
+  }
+}
+
+}  // namespace
+
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {
-  if (p < 0.0 || p > 1.0) throw std::invalid_argument("Rng::binomial: p outside [0,1]");
-  std::uint64_t successes = 0;
-  for (std::uint64_t i = 0; i < n; ++i) successes += bernoulli(p) ? 1 : 0;
-  return successes;
+  if (!(p >= 0.0 && p <= 1.0)) {
+    throw std::invalid_argument("Rng::binomial: p outside [0,1]");
+  }
+  if (n == 0 || p == 0.0) return 0;
+  if (p == 1.0) return n;
+  const bool reflect = p > 0.5;
+  const double pp = reflect ? 1.0 - p : p;
+  const std::uint64_t k = static_cast<double>(n) * pp < kBinomialInversionMax
+                              ? binomial_inversion(*this, n, pp)
+                              : binomial_btrs(*this, n, pp);
+  return reflect ? n - k : k;
+}
+
+void Rng::multinomial(std::uint64_t n, std::span<const double> weights,
+                      std::span<std::uint64_t> out) {
+  if (weights.size() != out.size()) {
+    throw std::invalid_argument("Rng::multinomial: size mismatch");
+  }
+  double total = 0.0;
+  std::size_t last = weights.size();
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    if (!(weights[i] >= 0.0) || !std::isfinite(weights[i])) {
+      throw std::invalid_argument(
+          "Rng::multinomial: weights must be finite and >= 0");
+    }
+    total += weights[i];
+    if (weights[i] > 0.0) last = i;
+  }
+  std::fill(out.begin(), out.end(), std::uint64_t{0});
+  if (n == 0) return;
+  if (last == weights.size()) {
+    throw std::invalid_argument("Rng::multinomial: all weights are zero");
+  }
+  std::uint64_t remaining = n;
+  for (std::size_t i = 0; i < last && remaining > 0; ++i) {
+    if (weights[i] > 0.0) {
+      out[i] = binomial(remaining, std::clamp(weights[i] / total, 0.0, 1.0));
+      remaining -= out[i];
+    }
+    total -= weights[i];
+  }
+  out[last] = remaining;
 }
 
 std::size_t Rng::discrete(std::span<const double> weights) {

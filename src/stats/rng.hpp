@@ -124,10 +124,25 @@ class Rng {
   void fill_beta(const GammaPrep& a, const GammaPrep& b,
                  std::span<double> out) noexcept;
 
-  /// Binomial(n, p) by inversion for small n, otherwise by summed Bernoulli
-  /// (n in this codebase is at most a trial size, so O(n) is acceptable and
-  /// keeps the generator simple and exactly reproducible).
+  /// Binomial(n, p), exact, in O(1) expected time for any n. Draws for
+  /// p' = min(p, 1 − p) and reflects. When n·p' < 10 it inverts the CDF by
+  /// sequential search from 0 (about n·p' + 1 steps, one uniform per
+  /// attempt); otherwise it runs Hörmann's BTRS transformed rejection
+  /// (W. Hörmann, "The generation of binomial random variates", 1993):
+  /// two uniforms per attempt and a bounded expected number of attempts.
+  /// Throws std::invalid_argument if p is outside [0, 1].
   std::uint64_t binomial(std::uint64_t n, double p);
+
+  /// Fills out[i] with Multinomial(n, weights) counts through conditional
+  /// binomials in cell order: cell i draws Binomial(remaining n,
+  /// w_i / remaining weight), the ratio clamped to [0, 1], and the last
+  /// cell with positive weight takes what is left, so the counts always
+  /// sum to n. The weights need not be normalised (integer counts given as
+  /// doubles keep the running remainder exact). Throws
+  /// std::invalid_argument if the sizes differ, a weight is negative or not
+  /// finite, or n > 0 with no positive weight.
+  void multinomial(std::uint64_t n, std::span<const double> weights,
+                   std::span<std::uint64_t> out);
 
   /// Samples an index from a discrete distribution given non-negative
   /// weights (not necessarily normalised). Throws if all weights are zero.

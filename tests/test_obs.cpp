@@ -70,6 +70,28 @@ TEST(ObsHistogram, QuantileIsWithinAFactorOfTwo) {
   EXPECT_EQ(obs::Histogram("empty").quantile(0.5), 0U);
 }
 
+TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
+  // One 2906 us sample sits in the [2^21, 2^22) ns bucket, whose upper
+  // bound (4194 us) used to be reported as every quantile — above max.
+  obs::Histogram h("h");
+  h.record(2'906'000);
+  obs::HistogramSnapshot snap;
+  snap.count = h.count();
+  snap.min = h.min();
+  snap.max = h.max();
+  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+    snap.buckets.push_back(h.bucket(b));
+  }
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(h.quantile(q), 2'906'000U) << "q=" << q;
+    EXPECT_EQ(obs::snapshot_quantile(snap, q), 2'906'000U) << "q=" << q;
+  }
+  // With a spread, interior quantiles keep their bucket bounds.
+  h.record(1'500);
+  EXPECT_EQ(h.quantile(0.0), 2'047U);
+  EXPECT_EQ(h.quantile(1.0), 2'906'000U);
+}
+
 TEST(ObsHistogram, RecordsZeroAndResets) {
   obs::Histogram h("h");
   h.record(0);

@@ -26,6 +26,8 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/paper_example.hpp"
@@ -176,6 +178,113 @@ TEST(ShardProtocol, ReaderThrowsOnUnderrun) {
   const std::vector<std::uint8_t> payload = w.data();
   wire::Reader r(payload);
   EXPECT_THROW(r.u64(), wire::ProtocolError);
+}
+
+// --- Hostile blobs ---------------------------------------------------------
+// A ~100-byte task must not make a worker allocate or compute without
+// bound: every size is checked while decoding, before it sizes anything.
+
+constexpr std::uint64_t kHostileSize = std::uint64_t{1} << 40;
+
+/// Runs a workload's registered handler on `blob` as a whole-range task.
+std::vector<std::uint8_t> run_handler(std::string_view workload,
+                                      std::vector<std::uint8_t> blob) {
+  // Link the registering TUs even where the fork tests that would pull
+  // them in compile away (TSan builds).
+  sim::ensure_trial_shard_registered();
+  core::ensure_uncertainty_shard_registered();
+  core::ensure_tradeoff_shard_registered();
+  wire::ShardTask task;
+  task.workload = std::string(workload);
+  task.blob = std::move(blob);
+  return exec::find_shard_workload(workload)(task);
+}
+
+/// One class: name, model conditionals, profile.
+void write_trial_config(wire::Writer& w) {
+  w.u64(1);
+  w.str("only");
+  w.f64(0.1);
+  w.f64(0.5);
+  w.f64(0.2);
+  w.doubles(std::vector<double>{1.0});
+}
+
+void write_analyzer(wire::Writer& w) {
+  w.doubles(std::vector<double>{0.5});   // cancer class means
+  w.doubles(std::vector<double>{-2.0});  // normal class means
+  for (int side = 0; side < 2; ++side) {
+    w.u64(1);  // profile
+    w.str("only");
+    w.doubles(std::vector<double>{1.0});
+    w.u64(1);  // one human response
+    w.f64(0.1);
+    w.f64(0.3);
+  }
+  w.f64(0.01);  // prevalence
+}
+
+TEST(ShardHostileBlob, ReaderRejectsACountLongerThanThePayload) {
+  wire::Writer w;
+  w.u64(kHostileSize);  // claims 2^40 doubles, carries one
+  w.f64(1.0);
+  const std::vector<std::uint8_t> payload = w.take();
+  wire::Reader r(payload);
+  EXPECT_THROW((void)r.doubles(), wire::ProtocolError);
+}
+
+TEST(ShardHostileBlob, TrialRejectsAnOversizedCaseCount) {
+  wire::Writer w;
+  write_trial_config(w);
+  w.u64(kHostileSize);  // case_count
+  w.u64(1);             // seed
+  EXPECT_THROW(run_handler(sim::kTrialShardWorkload, w.take()),
+               wire::ProtocolError);
+  wire::Writer classes;
+  classes.u64(kHostileSize);  // class count, with one class's bytes behind
+  classes.str("only");
+  EXPECT_THROW(run_handler(sim::kTrialShardWorkload, classes.take()),
+               wire::ProtocolError);
+}
+
+TEST(ShardHostileBlob, PosteriorRejectsOversizedTotalDraws) {
+  wire::Writer w;
+  w.u64(1);
+  w.str("only");
+  for (int i = 0; i < 4; ++i) w.u64(10 - i);  // consistent counts
+  w.doubles(std::vector<double>{1.0});
+  w.u64(kHostileSize);  // total_draws
+  w.u64(1);             // base
+  EXPECT_THROW(run_handler(core::kUncertaintyShardWorkload, w.take()),
+               wire::ProtocolError);
+}
+
+TEST(ShardHostileBlob, SweepAndMinimiseRejectOversizedGrids) {
+  // A sweep whose threshold count is longer than the frame it came in.
+  wire::Writer sweep;
+  write_analyzer(sweep);
+  sweep.u64(kHostileSize);
+  EXPECT_THROW(run_handler(core::kSweepShardWorkload, sweep.take()),
+               wire::ProtocolError);
+  // A minimisation asking for 2^40 grid steps in a few bytes.
+  wire::Writer minimise;
+  write_analyzer(minimise);
+  minimise.f64(500.0);
+  minimise.f64(20.0);
+  minimise.f64(-4.0);
+  minimise.f64(4.0);
+  minimise.u64(kHostileSize);
+  EXPECT_THROW(run_handler(core::kMinimiseShardWorkload, minimise.take()),
+               wire::ProtocolError);
+  // A legal grid in the same layout decodes and runs.
+  wire::Writer legal;
+  write_analyzer(legal);
+  legal.f64(500.0);
+  legal.f64(20.0);
+  legal.f64(-4.0);
+  legal.f64(4.0);
+  legal.u64(1000);
+  EXPECT_NO_THROW(run_handler(core::kMinimiseShardWorkload, legal.take()));
 }
 
 TEST(ShardProtocol, FrameParserReassemblesByteByByte) {
