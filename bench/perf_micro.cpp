@@ -18,18 +18,14 @@
 #include "core/design_advisor.hpp"
 #include "core/paper_example.hpp"
 #include "core/tradeoff.hpp"
-#include "core/tradeoff_shard.hpp"
 #include "core/uncertainty.hpp"
-#include "core/uncertainty_shard.hpp"
 #include "exec/parallel.hpp"
-#include "exec/shard.hpp"
 #include "rbd/structure.hpp"
 #include "sim/estimation.hpp"
 #include "sim/feature_world.hpp"
 #include "sim/parallel_world.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
-#include "sim/trial_shard.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/rng.hpp"
 
@@ -439,177 +435,12 @@ BENCHMARK(BM_TradeoffSweepScaling)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// --- Process-sharding benches (PR 6) --------------------------------------
-// Same fixed workloads as the BM_*Scaling benches above, fanned out over
-// 1/2/4/8 worker *processes* (one thread each) through exec::ShardRunner.
-// Output is bit-identical at every shard count, so the only quantity these
-// track is wall-clock: on an N-core box the 4-shard rows should approach
-// min(4, N)x; on a 1-core CI runner they stay flat and only the fan-out
-// overhead (BM_ShardMergeOverhead) moves. The 1-shard rows run in-process
-// — they are the no-spawn baseline the speedup is measured against.
-
-exec::ShardOptions shard_options(unsigned shards, unsigned threads = 1) {
-  exec::ShardOptions options;
-  options.shards = shards;
-  options.threads = threads;
-  return options;
-}
-
-void BM_ShardTrialScaling(benchmark::State& state) {
-  const auto options = shard_options(static_cast<unsigned>(state.range(0)));
-  constexpr std::uint64_t kCases = 200'000;
-  sim::TabularWorld world(core::paper::example_model(),
-                          core::paper::trial_profile());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::run_trial_sharded(world, kCases, 1234, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kCases));
-}
-BENCHMARK(BM_ShardTrialScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Processes x threads composition: a fixed budget of 4 lanes, split
-// between the two levels of the hierarchy. All three rows compute the
-// same bits; the spread is pure engine overhead.
-void BM_ShardTrialComposition(benchmark::State& state) {
-  const auto options =
-      shard_options(static_cast<unsigned>(state.range(0)),
-                    static_cast<unsigned>(state.range(1)));
-  constexpr std::uint64_t kCases = 200'000;
-  sim::TabularWorld world(core::paper::example_model(),
-                          core::paper::trial_profile());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        sim::run_trial_sharded(world, kCases, 1234, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kCases));
-}
-BENCHMARK(BM_ShardTrialComposition)
-    ->Args({1, 4})
-    ->Args({2, 2})
-    ->Args({4, 1})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardSweepScaling(benchmark::State& state) {
-  const auto options = shard_options(static_cast<unsigned>(state.range(0)));
-  core::BinormalMachine machine;
-  machine.cancer_class_means = {2.0, 0.5};
-  machine.normal_class_means = {-1.5, -0.5};
-  const auto analyzer = core::TradeoffAnalyzer(
-      machine,
-      core::DemandProfile::from_weights({"easy-cancer", "hard-cancer"},
-                                        {0.9, 0.1}),
-      {{0.1, 0.5}, {0.3, 0.7}},
-      core::DemandProfile::from_weights({"clear-normal", "odd-normal"},
-                                        {0.8, 0.2}),
-      {{0.1, 0.02}, {0.3, 0.1}}, 0.01);
-  std::vector<double> thresholds(200'000);
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    thresholds[i] = -4.0 + 8.0 * static_cast<double>(i) /
-                               static_cast<double>(thresholds.size() - 1);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::sweep_sharded(analyzer, thresholds, options));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(thresholds.size()));
-}
-BENCHMARK(BM_ShardSweepScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ShardPosteriorScaling(benchmark::State& state) {
-  const auto options = shard_options(static_cast<unsigned>(state.range(0)));
-  core::ClassCounts easy;
-  easy.cases = 800;
-  easy.machine_failures = 56;
-  easy.human_failures_given_machine_failed = 28;
-  easy.human_failures_given_machine_succeeded = 40;
-  core::ClassCounts difficult;
-  difficult.cases = 200;
-  difficult.machine_failures = 82;
-  difficult.human_failures_given_machine_failed = 74;
-  difficult.human_failures_given_machine_succeeded = 30;
-  const core::PosteriorModelSampler sampler({"easy", "difficult"},
-                                            {easy, difficult});
-  const core::DemandProfile profile = core::paper::field_profile();
-  constexpr std::size_t kDraws = 100'000;
-  std::vector<double> draws(kDraws);
-  for (auto _ : state) {
-    stats::Rng rng(99);
-    core::sample_failure_probabilities_sharded(sampler, profile, rng, draws,
-                                               options);
-    benchmark::DoNotOptimize(draws.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kDraws));
-}
-BENCHMARK(BM_ShardPosteriorScaling)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Fan-out floor: a near-empty sweep, so the measurement is almost entirely
-// pipe setup + fork/exec + frame round trip + merge + reap, per shard
-// count. This is the fixed cost a workload must amortise to win from
-// sharding.
-void BM_ShardMergeOverhead(benchmark::State& state) {
-  const auto options = shard_options(static_cast<unsigned>(state.range(0)));
-  core::BinormalMachine machine;
-  machine.cancer_class_means = {2.0, 0.5};
-  machine.normal_class_means = {-1.5, -0.5};
-  const auto analyzer = core::TradeoffAnalyzer(
-      machine,
-      core::DemandProfile::from_weights({"easy-cancer", "hard-cancer"},
-                                        {0.9, 0.1}),
-      {{0.1, 0.5}, {0.3, 0.7}},
-      core::DemandProfile::from_weights({"clear-normal", "odd-normal"},
-                                        {0.8, 0.2}),
-      {{0.1, 0.02}, {0.3, 0.1}}, 0.01);
-  std::vector<double> thresholds(64);
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    thresholds[i] = -4.0 + 8.0 * static_cast<double>(i) / 63.0;
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::sweep_sharded(analyzer, thresholds, options));
-  }
-}
-BENCHMARK(BM_ShardMergeOverhead)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 // Custom main: google-benchmark rejects unknown flags, so the shared
 // --profile/--profile-csv arguments are consumed by the ProfileGuard and
 // stripped from argv before benchmark::Initialize sees them.
 int main(int argc, char** argv) {
-  // The shard benches re-exec this binary as their worker image.
-  if (hmdiv::exec::shard_worker_requested(argc, argv)) {
-    return hmdiv::exec::shard_worker_main();
-  }
   const hmdiv::benchutil::ProfileGuard profile(argc, argv);
   std::vector<char*> kept;
   kept.reserve(static_cast<std::size_t>(argc));

@@ -15,8 +15,7 @@
 // engine and dumps the observability registry as a table; --profile-csv
 // FILE writes the same snapshot as CSV. --workers HOST:PORT,... fans the
 // workload's posterior, sweep and minimisation phases out over remote
-// hmdiv_serve daemons instead of local worker processes (DESIGN.md §15);
-// results stay bit-identical.
+// hmdiv_serve daemons (DESIGN.md §15); results stay bit-identical.
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -41,7 +40,6 @@
 #include "core/uncertainty_shard.hpp"
 #include "exec/cluster.hpp"
 #include "exec/config.hpp"
-#include "exec/shard.hpp"
 #include "obs/obs.hpp"
 #include "report/format.hpp"
 #include "report/profile.hpp"
@@ -59,7 +57,7 @@ using namespace hmdiv;
   std::cerr
       << "usage: hmdiv_analyze --model FILE --trial FILE --field FILE\n"
          "                     [--improve CLASS=FACTOR]... [--text]\n"
-         "                     [--no-advice] [--threads N] [--shards N]\n"
+         "                     [--no-advice] [--threads N]\n"
          "                     [--workers HOST:PORT,...] [--window N]\n"
          "                     [--profile] [--profile-csv FILE]\n"
          "                     [--grid-steps N] [--samples N]\n"
@@ -68,13 +66,9 @@ using namespace hmdiv;
          "--threads N caps the worker threads of Monte-Carlo and sweep\n"
          "computations (default: all hardware threads, or HMDIV_THREADS).\n"
          "Results are identical for any thread count.\n"
-         "--shards N fans the profiling workload out over N worker\n"
-         "processes of --threads threads each (default: 1, or\n"
-         "HMDIV_SHARDS). Results are bit-identical for any shard count.\n"
          "--workers HOST:PORT,... fans the profiling workload out over\n"
-         "remote hmdiv_serve daemons via their shard endpoint instead of\n"
-         "local worker processes; composes with --shards (shard count)\n"
-         "and --threads (per-task budget on each worker). Results remain\n"
+         "remote hmdiv_serve daemons via their shard endpoint; --threads\n"
+         "is then the per-task budget on each worker. Results remain\n"
          "bit-identical to the in-process run.\n"
          "--window N keeps up to N tasks in flight per worker connection\n"
          "(pipelining depth, default 4, range [1, 64]); 1 restores strict\n"
@@ -144,12 +138,10 @@ Improvement parse_improvement(const std::string& spec) {
 /// raised to 2 to keep the pool paths observable on single-core hosts.
 /// The trial and the bootstrap work on the trial's count table (DESIGN.md
 /// §17): they take microseconds, so they always run in-process. The
-/// posterior, sweep and minimisation phases route through the shard
-/// engine: with --shards N (or HMDIV_SHARDS) they fan out over N worker
-/// processes; at 1 shard they run in-process, bit-identically. With
-/// --workers they fan out over remote hmdiv_serve daemons instead,
-/// through one warm ClusterRunner connection pool shared by the three
-/// phases (DESIGN.md §15) — same partition, same merge, same bits.
+/// posterior, sweep and minimisation phases run in-process on the thread
+/// pool; with --workers they fan out over remote hmdiv_serve daemons
+/// instead, through one warm ClusterRunner connection pool shared by the
+/// three phases (DESIGN.md §15) — bit-identical either way.
 void run_profiling_workload(const core::SequentialModel& model,
                             const core::DemandProfile& trial,
                             const core::DemandProfile& field, bool markdown,
@@ -158,8 +150,6 @@ void run_profiling_workload(const core::SequentialModel& model,
                             unsigned window) {
   exec::Config config = exec::default_config();
   if (config.resolved_threads() < 2) config = exec::Config{2};
-  exec::ShardOptions sopts;
-  sopts.threads = config.threads;
   std::optional<exec::ClusterRunner> cluster;
   if (!workers.empty()) {
     exec::ClusterOptions copts;
@@ -197,8 +187,7 @@ void run_profiling_workload(const core::SequentialModel& model,
   const auto posterior =
       cluster ? core::predict_clustered(sampler, field, posterior_rng,
                                         samples, 0.95, *cluster)
-              : core::predict_sharded(sampler, field, posterior_rng, samples,
-                                      0.95, sopts);
+              : sampler.predict(field, posterior_rng, samples, 0.95, config);
 
   // Sweep phase: the binormal machine implied by each class's PMf at
   // threshold 0 (mu = -probit(PMf)), swept across operating thresholds,
@@ -226,14 +215,13 @@ void run_profiling_workload(const core::SequentialModel& model,
   }
   const auto curve = cluster
                          ? core::sweep_clustered(analyzer, thresholds, *cluster)
-                         : core::sweep_sharded(analyzer, thresholds, sopts);
+                         : analyzer.sweep(thresholds, config);
   const auto best =
       cluster ? core::minimise_cost_clustered(analyzer, /*cost_fn=*/500.0,
                                               /*cost_fp=*/20.0, -4.0, 4.0,
                                               grid_steps, *cluster)
-              : core::minimise_cost_sharded(analyzer, /*cost_fn=*/500.0,
-                                            /*cost_fp=*/20.0, -4.0, 4.0,
-                                            grid_steps, sopts);
+              : analyzer.minimise_cost(/*cost_fn=*/500.0, /*cost_fp=*/20.0,
+                                       -4.0, 4.0, grid_steps, config);
 
   std::cout << (markdown ? "## Profiling workload (Monte-Carlo validation)\n\n"
                          : "== Profiling workload (Monte-Carlo validation) "
@@ -260,11 +248,6 @@ void run_profiling_workload(const core::SequentialModel& model,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shard workers re-exec this binary with a hidden flag; they must take
-  // this branch before any argument parsing or output.
-  if (hmdiv::exec::shard_worker_requested(argc, argv)) {
-    return hmdiv::exec::shard_worker_main();
-  }
   std::optional<std::string> model_path, trial_path, field_path;
   std::vector<Improvement> improvements;
   bool use_example = false;
@@ -303,10 +286,6 @@ int main(int argc, char** argv) {
       exec::set_default_config(exec::Config{
           static_cast<unsigned>(cli::parse_bounded_ulong(
               "hmdiv_analyze", "--threads", next(), 1, 4096))});
-    } else if (arg == "--shards") {
-      exec::set_default_shard_count(
-          static_cast<unsigned>(cli::parse_bounded_ulong(
-              "hmdiv_analyze", "--shards", next(), 1, exec::kMaxShards)));
     } else if (arg == "--workers") {
       // Comma-separated worker list; every element must parse as
       // HOST:PORT (or [IPV6]:PORT) and name a connectable port — port 0

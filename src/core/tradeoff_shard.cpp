@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "exec/cluster.hpp"
+#include "exec/cluster_protocol.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::core {
@@ -137,7 +138,7 @@ std::vector<std::uint8_t> handle_sweep_shard(
       std::span<const double>(thresholds)
           .subspan(static_cast<std::size_t>(range.begin),
                    static_cast<std::size_t>(range.size())),
-      points);
+      points, exec::Config{task.threads});
   Writer w;
   w.u64(points.size());
   for (const SystemOperatingPoint& p : points) encode_point(w, p);
@@ -165,7 +166,7 @@ std::vector<std::uint8_t> handle_minimise_shard(
   const CostedOperatingPoint best = analyzer.minimise_cost_range(
       cost_fn, cost_fp, lo, hi, static_cast<std::size_t>(steps),
       static_cast<std::size_t>(range.begin),
-      static_cast<std::size_t>(range.end));
+      static_cast<std::size_t>(range.end), exec::Config{task.threads});
   Writer w;
   w.u8(best.valid ? 1 : 0);
   w.f64(best.cost);
@@ -178,10 +179,9 @@ const exec::ShardWorkloadRegistration kSweepRegistration{
 const exec::ShardWorkloadRegistration kMinimiseRegistration{
     kMinimiseShardWorkload, &handle_minimise_shard};
 
-// --- Transport-independent blob builders and merges -----------------------
-// Shared by the process-sharded and clustered paths; both transports
-// return payloads in ascending shard order, so the merges below make the
-// result independent of how the shards ran.
+// --- Blob builders and merges ---------------------------------------------
+// The coordinator returns payloads in ascending shard order, so the merges
+// below make the result independent of how the shards ran.
 
 std::vector<std::uint8_t> encode_sweep_blob(
     const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds) {
@@ -248,39 +248,6 @@ SystemOperatingPoint merge_minimise_payloads(
 }
 
 }  // namespace
-
-std::vector<SystemOperatingPoint> sweep_sharded(
-    const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds,
-    const exec::ShardOptions& options) {
-  const exec::ShardRunner runner(options);
-  if (runner.resolved_shards() == 1 || thresholds.empty()) {
-    return analyzer.sweep(thresholds,
-                          options.threads ? exec::Config{options.threads}
-                                          : exec::default_config());
-  }
-  HMDIV_OBS_SCOPED_TIMER("core.tradeoff.shard_sweep_ns");
-  const std::vector<std::uint8_t> blob = encode_sweep_blob(analyzer, thresholds);
-  return merge_sweep_payloads(thresholds.size(),
-                              runner.run(kSweepShardWorkload, blob));
-}
-
-SystemOperatingPoint minimise_cost_sharded(const TradeoffAnalyzer& analyzer,
-                                           double cost_fn, double cost_fp,
-                                           double lo, double hi,
-                                           std::size_t steps,
-                                           const exec::ShardOptions& options) {
-  const exec::ShardRunner runner(options);
-  if (runner.resolved_shards() == 1) {
-    return analyzer.minimise_cost(cost_fn, cost_fp, lo, hi, steps,
-                                  options.threads
-                                      ? exec::Config{options.threads}
-                                      : exec::default_config());
-  }
-  HMDIV_OBS_SCOPED_TIMER("core.tradeoff.shard_minimise_ns");
-  const std::vector<std::uint8_t> blob =
-      encode_minimise_blob(analyzer, cost_fn, cost_fp, lo, hi, steps);
-  return merge_minimise_payloads(runner.run(kMinimiseShardWorkload, blob));
-}
 
 std::vector<SystemOperatingPoint> sweep_clustered(
     const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds,

@@ -1,26 +1,26 @@
-// Multi-process sharding of trade-off analyses.
+// Cluster sharding of trade-off analyses.
 //
 // Two shard workloads over the same serialized TradeoffAnalyzer:
 //
 //   "core.sweep"    — partition the threshold grid's index space; workers
-//                     sweep their wire::shard_range slice with the batched
+//                     sweep their wire::task_range slice with the batched
 //                     kernel and ship the operating points back as bit
 //                     patterns. evaluate_batch is bit-identical to the
 //                     scalar evaluate() at any batch boundary, so the
-//                     parent's ascending-order concatenation equals the
-//                     single-process sweep bit-for-bit.
+//                     coordinator's ascending-order concatenation equals
+//                     the single-process sweep bit-for-bit.
 //   "core.minimise" — partition the cost-scan grid; workers return their
-//                     range's best CostedOperatingPoint and the parent
-//                     folds them in ascending shard order with strict <,
-//                     preserving minimise_cost's earliest-grid-point tie
-//                     rule exactly.
+//                     range's best CostedOperatingPoint and the
+//                     coordinator folds them in ascending shard order with
+//                     strict <, preserving minimise_cost's
+//                     earliest-grid-point tie rule exactly.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 #include <vector>
 
 #include "core/tradeoff.hpp"
-#include "exec/shard.hpp"
 
 namespace hmdiv::exec {
 class ClusterRunner;
@@ -37,33 +37,17 @@ inline constexpr std::string_view kMinimiseShardWorkload = "core.minimise";
 /// decoding): hmdiv_analyze's --grid-steps ceiling.
 inline constexpr std::uint64_t kMaxSweepShardPoints = 5'000'000;
 
-/// TradeoffAnalyzer::sweep across worker processes (options.shards; 1 runs
-/// in-process without spawning). Output is bit-identical to
-/// analyzer.sweep(thresholds) at any shard × thread composition. Throws
-/// exec::ShardError on worker failure.
-[[nodiscard]] std::vector<SystemOperatingPoint> sweep_sharded(
-    const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds,
-    const exec::ShardOptions& options = {});
-
-/// TradeoffAnalyzer::minimise_cost across worker processes, merging the
-/// per-shard partial minima with the earliest-grid-point tie rule. Output
-/// is bit-identical to the in-process scan.
-[[nodiscard]] SystemOperatingPoint minimise_cost_sharded(
-    const TradeoffAnalyzer& analyzer, double cost_fn, double cost_fp,
-    double lo, double hi, std::size_t steps,
-    const exec::ShardOptions& options = {});
-
-/// sweep across remote hmdiv_serve workers via `cluster` (DESIGN.md §15).
-/// Identical blob, shard_range partition and ascending-shard merge as
-/// sweep_sharded, so the points are bit-identical to analyzer.sweep at any
-/// worker × shard composition. Throws exec::ClusterError when no healthy
-/// worker can finish a shard.
+/// TradeoffAnalyzer::sweep across remote hmdiv_serve workers via `cluster`
+/// (DESIGN.md §15). The points are bit-identical to analyzer.sweep at any
+/// worker × shard × thread composition. Throws exec::ClusterError when no
+/// healthy worker can finish a shard.
 [[nodiscard]] std::vector<SystemOperatingPoint> sweep_clustered(
     const TradeoffAnalyzer& analyzer, const std::vector<double>& thresholds,
     exec::ClusterRunner& cluster);
 
-/// minimise_cost across remote workers with the same earliest-grid-point
-/// tie fold as minimise_cost_sharded. Bit-identical to the in-process scan.
+/// TradeoffAnalyzer::minimise_cost across remote workers, folding the
+/// per-task partial minima with the earliest-grid-point tie rule.
+/// Bit-identical to the in-process scan.
 [[nodiscard]] SystemOperatingPoint minimise_cost_clustered(
     const TradeoffAnalyzer& analyzer, double cost_fn, double cost_fp,
     double lo, double hi, std::size_t steps, exec::ClusterRunner& cluster);

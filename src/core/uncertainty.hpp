@@ -117,7 +117,7 @@ class PosteriorModelSampler {
 
   /// Fixed substream grain of the batched sampler: chunk c always covers
   /// draws [512c, 512c + 512) of a run, regardless of parallelism. This is
-  /// the index space the shard engine partitions.
+  /// the index space the cluster's core.uq.sample workload partitions.
   static constexpr std::size_t kDrawChunk = 512;
 
   /// Chunks a `draws`-sized run decomposes into — ceil(draws / kDrawChunk).

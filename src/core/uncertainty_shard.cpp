@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exec/cluster.hpp"
+#include "exec/cluster_protocol.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::core {
@@ -101,7 +102,8 @@ std::vector<std::uint8_t> handle_uq_shard(const exec::wire::ShardTask& task) {
   config.sampler.sample_failure_probability_chunks(
       config.profile, config.base, total,
       static_cast<std::size_t>(range.begin),
-      static_cast<std::size_t>(range.end), draws);
+      static_cast<std::size_t>(range.end), draws,
+      exec::Config{task.threads});
   Writer w;
   w.doubles(draws);
   return w.take();
@@ -110,8 +112,8 @@ std::vector<std::uint8_t> handle_uq_shard(const exec::wire::ShardTask& task) {
 const exec::ShardWorkloadRegistration kRegistration{
     kUncertaintyShardWorkload, &handle_uq_shard};
 
-/// Ascending-shard merge shared by the process-sharded and clustered
-/// paths: concatenate each shard's chunk-aligned draw slice into `out`.
+/// Ascending-shard merge: concatenate each task's chunk-aligned draw slice
+/// into `out`.
 void merge_uq_payloads(const std::vector<std::vector<std::uint8_t>>& payloads,
                        std::span<double> out) {
   std::size_t offset = 0;
@@ -131,31 +133,6 @@ void merge_uq_payloads(const std::vector<std::vector<std::uint8_t>>& payloads,
 }
 
 }  // namespace
-
-void sample_failure_probabilities_sharded(
-    const PosteriorModelSampler& sampler, const DemandProfile& profile,
-    stats::Rng& rng, std::span<double> out,
-    const exec::ShardOptions& options) {
-  const exec::ShardRunner runner(options);
-  if (runner.resolved_shards() == 1) {
-    sampler.sample_failure_probabilities(
-        profile, rng, out,
-        options.threads ? exec::Config{options.threads}
-                        : exec::default_config());
-    return;
-  }
-  if (out.empty()) {
-    throw std::invalid_argument(
-        "sample_failure_probabilities_sharded: empty output");
-  }
-  HMDIV_OBS_SCOPED_TIMER("core.uq.shard_sample_ns");
-  // One step off the caller's rng — exactly what the in-process engine
-  // consumes — so caller-visible rng state stays identical.
-  const std::uint64_t base = rng.next_u64();
-  const std::vector<std::uint8_t> blob =
-      encode_blob(sampler, profile, out.size(), base);
-  merge_uq_payloads(runner.run(kUncertaintyShardWorkload, blob), out);
-}
 
 void sample_failure_probabilities_clustered(
     const PosteriorModelSampler& sampler, const DemandProfile& profile,
@@ -191,27 +168,5 @@ UncertainPrediction predict_clustered(const PosteriorModelSampler& sampler,
 }
 
 void ensure_uncertainty_shard_registered() {}
-
-UncertainPrediction predict_sharded(const PosteriorModelSampler& sampler,
-                                    const DemandProfile& profile,
-                                    stats::Rng& rng, std::size_t draws,
-                                    double credibility,
-                                    const exec::ShardOptions& options) {
-  if (draws == 0) {
-    throw std::invalid_argument("predict_sharded: draws == 0");
-  }
-  // At one shard go through predict() itself, not just its sampling
-  // stage, so the in-process path keeps its own instrumentation
-  // (core.uq.predict_ns et al.) and workspace reuse.
-  if (exec::ShardRunner(options).resolved_shards() == 1) {
-    return sampler.predict(profile, rng, draws, credibility,
-                           options.threads ? exec::Config{options.threads}
-                                           : exec::default_config());
-  }
-  std::vector<double> values(draws);
-  sample_failure_probabilities_sharded(sampler, profile, rng, values,
-                                       options);
-  return PosteriorModelSampler::summarise(values, credibility);
-}
 
 }  // namespace hmdiv::core

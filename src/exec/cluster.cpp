@@ -17,7 +17,6 @@
 
 #include "exec/cluster_protocol.hpp"
 #include "exec/config.hpp"
-#include "exec/shard.hpp"
 #include "exec/shard_protocol.hpp"
 #include "obs/obs.hpp"
 
@@ -175,13 +174,9 @@ ClusterRunner::~ClusterRunner() {
 
 unsigned ClusterRunner::resolved_shards() const noexcept {
   unsigned shards = options_.shards;
-  if (shards == 0) {
-    const unsigned configured = default_shard_count();
-    shards = configured > 1 ? configured
-                            : static_cast<unsigned>(conns_.size());
-  }
+  if (shards == 0) shards = static_cast<unsigned>(conns_.size());
   if (shards == 0) shards = 1;
-  return shards > kMaxShards ? kMaxShards : shards;
+  return shards > wire::kMaxShards ? wire::kMaxShards : shards;
 }
 
 std::vector<ClusterWorkerStats> ClusterRunner::worker_stats() const {
@@ -199,7 +194,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
   }
   const unsigned window = std::max(1u, options_.window);
   unsigned shards = resolved_shards();
-  if (options_.shards == 0 && default_shard_count() <= 1 && items_hint > 0) {
+  if (options_.shards == 0 && items_hint > 0) {
     // Adaptive micro-shard count: enough small tasks that every worker's
     // window refills several times (so the EWMA sizing has room to act),
     // bounded by the workload's item count and the protocol ceiling.
@@ -210,7 +205,7 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     const auto workers64 = static_cast<std::uint64_t>(conns_.size());
     const std::uint64_t target = workers64 * 32;
     shards = static_cast<unsigned>(std::min<std::uint64_t>(
-        std::min<std::uint64_t>(items_hint, target), kMaxShards));
+        std::min<std::uint64_t>(items_hint, target), wire::kMaxShards));
     if (shards == 0) shards = 1;
   }
   HMDIV_OBS_SCOPED_TIMER("exec.cluster.run_ns");

@@ -1,17 +1,16 @@
 // Multi-host distributed execution: a TCP shard coordinator (DESIGN.md
 // §15–16).
 //
-// ClusterRunner is the third rung of the execution ladder: threads
-// (exec/parallel.hpp) → processes (exec/shard.hpp) → hosts. It fans the
-// same substream-partitioned shard tasks the fork/exec engine runs —
-// sim.trial batch ranges, core.sweep / core.minimise grid subspans,
-// core.uq.sample draw chunks — across remote `hmdiv_serve` workers over
-// TCP, reusing the HMDF frame format and the wire::shard_range partition
-// unchanged. Because a task's payload is a pure function of (blob,
-// shard_index, span, shard_count), and the merge is in ascending
-// span-start order, output over N hosts is bit-identical to N local
-// shards and to the in-process run — the same determinism contract,
-// lifted to the network.
+// Threads (exec/parallel.hpp) are the one way to go parallel on a host;
+// ClusterRunner is the one way to leave it. It fans substream-partitioned
+// shard tasks — sim.trial batch ranges, core.sweep / core.minimise grid
+// subspans, core.uq.sample draw chunks — across remote `hmdiv_serve`
+// workers over TCP, using the HMDF frame format and the wire::shard_range
+// partition of exec/shard_protocol.hpp. Because a task's payload is a pure
+// function of (blob, shard_index, span, shard_count), and the merge is in
+// ascending span-start order, output over N hosts is bit-identical to the
+// in-process run — the thread pool's determinism contract, lifted to the
+// network.
 //
 // Scheduling (the latency-hiding part): instead of `shards == tasks` with
 // one outstanding task per worker, the coordinator cuts the substream
@@ -35,8 +34,7 @@
 // re-probe per run so a transient outage does not cost the whole fleet
 // member; structured error frames, by contrast, are deterministic
 // workload failures and abort the run. Worker obs snapshots (per-task
-// deltas) fold into this process's registry exactly as the pipe engine's
-// do.
+// deltas) fold into this process's registry.
 #pragma once
 
 #include <chrono>
@@ -53,14 +51,13 @@ namespace hmdiv::exec {
 struct ClusterOptions {
   /// Worker endpoints ("host:port" or "[v6]:port"), e.g. from --workers.
   std::vector<std::string> workers;
-  /// Shards to partition each run into; 0 resolves to the --shards /
-  /// HMDIV_SHARDS default when that is set (> 1), else the run picks an
-  /// adaptive micro-shard count from the workload's item hint (many small
-  /// tasks per worker — see ClusterRunner::run), falling back to one
-  /// shard per worker. More shards than workers is fine (tasks queue).
+  /// Shards to partition each run into; 0 lets the run pick an adaptive
+  /// micro-shard count from the workload's item hint (many small tasks
+  /// per worker — see ClusterRunner::run), falling back to one shard per
+  /// worker. More shards than workers is fine (tasks queue).
   unsigned shards = 0;
   /// Thread budget per task on the worker; 0 means this process's default
-  /// thread count (mirrors ShardOptions::threads).
+  /// thread count.
   unsigned threads = 0;
   /// Tasks kept in flight per connection (pipelining depth). 1 restores
   /// the strict request/reply lockstep of PR 9.
@@ -109,18 +106,18 @@ class ClusterRunner {
   ClusterRunner(const ClusterRunner&) = delete;
   ClusterRunner& operator=(const ClusterRunner&) = delete;
 
-  /// Shard count per run when explicitly configured (options.shards
-  /// resolved as documented there); runs with an items hint and no
-  /// explicit count pick their own micro-shard count.
+  /// Shard count of a run without an items hint: options.shards, or one
+  /// shard per worker when that is 0 (clamped to [1, wire::kMaxShards]).
+  /// Runs with an items hint and no explicit count pick their own
+  /// micro-shard count.
   [[nodiscard]] unsigned resolved_shards() const noexcept;
 
   /// Runs `workload` across the fleet and returns the raw result
   /// payloads in ascending span-start order — each payload covers the
   /// contiguous micro-shard span of one task, so workload wrappers
-  /// concatenate/fold them exactly as they do ShardRunner::run output.
-  /// `items_hint` is the workload's natural-grain item count (trial
-  /// batches, grid points, draw chunks); when the shard count is not
-  /// pinned by options/env it sizes the micro-shard partition (0 keeps
+  /// concatenate/fold them in order. `items_hint` is the workload's
+  /// natural-grain item count (trial batches, grid points, draw chunks);
+  /// when options.shards is 0 it sizes the micro-shard partition (0 keeps
   /// the one-shard-per-worker fallback). Throws ClusterError when the
   /// run cannot complete.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> run(

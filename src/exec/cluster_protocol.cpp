@@ -1,15 +1,25 @@
 #include "exec/cluster_protocol.hpp"
 
+#include <map>
+#include <mutex>
 #include <string>
 #include <utility>
 
-#include "exec/config.hpp"
-#include "exec/shard.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::exec {
 
 namespace {
+
+std::mutex& registry_mutex() {
+  static std::mutex mutex;
+  return mutex;
+}
+
+std::map<std::string, ShardHandler, std::less<>>& handler_registry() {
+  static std::map<std::string, ShardHandler, std::less<>> registry;
+  return registry;
+}
 
 void append_error_frame(std::vector<std::uint8_t>& out,
                         const std::string& message) {
@@ -20,6 +30,17 @@ void append_error_frame(std::vector<std::uint8_t>& out,
 
 }  // namespace
 
+void register_shard_workload(std::string_view name, ShardHandler handler) {
+  const std::lock_guard<std::mutex> lock(registry_mutex());
+  handler_registry()[std::string(name)] = handler;
+}
+
+ShardHandler find_shard_workload(std::string_view name) {
+  const std::lock_guard<std::mutex> lock(registry_mutex());
+  const auto it = handler_registry().find(name);
+  return it == handler_registry().end() ? nullptr : it->second;
+}
+
 bool execute_shard_task(const wire::ShardTask& task,
                         std::vector<std::uint8_t>& out) {
   const ShardHandler handler = find_shard_workload(task.workload);
@@ -28,10 +49,6 @@ bool execute_shard_task(const wire::ShardTask& task,
                                 task.workload + "'");
     return false;
   }
-  // Same process-global knobs the pipe worker applies. The thread budget
-  // is perf-only (results are bit-identical at any count), so flipping it
-  // per task is safe even with concurrent coordinator connections.
-  set_default_config(Config{task.threads});
   const bool was_enabled = obs::enabled();
   if (task.obs_enabled && !was_enabled) obs::set_enabled(true);
   obs::Snapshot before;

@@ -3,21 +3,24 @@
 // A cluster coordinator talks to `hmdiv_serve` workers over the daemon's
 // ordinary NDJSON connection: it sends one `{"op":"shard",...}` request
 // (the upgrade handshake), waits for the `"ok":true` response line, and
-// from then on the connection carries the same length-prefixed "HMDF"
-// frames the pipe transport of shard_protocol.hpp uses — task frames in,
-// result (+ obs) or error frames out, several tasks per connection. The
-// frame format, the wire::shard_range partition, and the ascending-shard
-// merge are all shared with the single-host engine, which is what makes
-// 1-host-N-shards and N-hosts bit-identical by construction.
+// from then on the connection carries the length-prefixed "HMDF" frames
+// of shard_protocol.hpp — task frames in, result (+ obs) or error frames
+// out, several tasks per connection. Every task's payload is a pure
+// function of (blob, shard_index, span, shard_count) over the workload's
+// wire::shard_range partition, and the coordinator merges in ascending
+// shard order, which is what makes N hosts bit-identical to the
+// in-process run by construction.
 //
 // This header holds the pieces both ends share: the upgrade request line
-// the coordinator sends, and the worker-side ShardSession — a byte-in /
-// byte-out state machine the serve layer drives from its connection loop
-// (no sockets in here, so the protocol is unit-testable in-process).
+// the coordinator sends, the workload registry shard tasks dispatch
+// through, and the worker-side ShardSession — a byte-in / byte-out state
+// machine the serve layer drives from its connection loop (no sockets in
+// here, so the protocol is unit-testable in-process).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -32,16 +35,39 @@ namespace hmdiv::exec {
 inline constexpr std::string_view kShardUpgradeLine =
     "{\"op\":\"shard\",\"id\":0}\n";
 
+/// A worker-side workload implementation: rebuilds the workload from
+/// task.blob, computes the slice given by wire::task_range(task) over its
+/// own index space with a thread budget of exec::Config{task.threads},
+/// and returns the result payload shipped back to the coordinator.
+using ShardHandler = std::vector<std::uint8_t> (*)(const wire::ShardTask&);
+
+/// Registers `handler` under `name` (process-wide; later registrations of
+/// the same name win, so tests can stub workloads). Workload modules
+/// register at static-init time via ShardWorkloadRegistration.
+void register_shard_workload(std::string_view name, ShardHandler handler);
+
+/// Static registrar:
+///   const ShardWorkloadRegistration reg{"sim.trial", &handle_trial};
+struct ShardWorkloadRegistration {
+  ShardWorkloadRegistration(std::string_view name, ShardHandler handler) {
+    register_shard_workload(name, handler);
+  }
+};
+
+/// Looks up a registered workload; nullptr when the name is unknown.
+/// execute_shard_task dispatches through this.
+[[nodiscard]] ShardHandler find_shard_workload(std::string_view name);
+
 /// Executes one shard task on this process's engine and appends the reply
 /// frames to `out`: a result frame, then — iff task.obs_enabled — an obs
 /// frame carrying the *delta* of the global registry across the handler
 /// (obs::snapshot_delta; a long-running daemon must not re-ship its whole
 /// uptime per task). A failed or unknown workload appends an error frame
 /// instead and returns false (the caller must not follow an error with a
-/// done frame — done marks successful completion only). Applies
-/// task.threads to the process default config exactly as the pipe worker
-/// does (a perf-only knob: results are bit-identical at any thread
-/// count). Never throws.
+/// done frame — done marks successful completion only). task.threads
+/// reaches the handler through the task itself; the process default
+/// config is left alone, so concurrent tasks never see each other's
+/// budget. Never throws.
 bool execute_shard_task(const wire::ShardTask& task,
                         std::vector<std::uint8_t>& out);
 

@@ -1,6 +1,7 @@
-// Wire protocol of the multi-process shard engine (exec/shard.hpp).
+// HMDF, the binary frame protocol of shard tasks (DESIGN.md §15).
 //
-// Parent and workers talk over pipes using length-prefixed binary frames:
+// A cluster coordinator (exec/cluster.hpp) and its hmdiv_serve workers
+// talk over an upgraded TCP connection using length-prefixed frames:
 //
 //   +-------+-------+----------------+-----------------+
 //   | magic | type  | payload length | payload bytes   |
@@ -8,11 +9,11 @@
 //   +-------+-------+----------------+-----------------+
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
-// patterns, so a value that crosses the pipe and comes back is the *same
-// double*, bit for bit — the foundation of the engine's "N shards ==
+// patterns, so a value that crosses the wire and comes back is the *same
+// double*, bit for bit — the foundation of the cluster's "N workers ==
 // 1 process" determinism guarantee. A frame is either complete or absent:
 // the incremental FrameParser never yields a frame until every payload
-// byte has arrived, so a worker killed mid-write surfaces as a truncated
+// byte has arrived, so a worker that dies mid-write surfaces as a truncated
 // stream (EOF with parser not idle), never as a short garbage frame.
 #pragma once
 
@@ -28,8 +29,7 @@
 namespace hmdiv::exec::wire {
 
 /// Thrown by Reader / FrameParser on malformed bytes (bad magic, truncated
-/// payload, over-long length). The shard runner converts it into a
-/// structured per-shard failure.
+/// payload, over-long length).
 class ProtocolError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -43,16 +43,20 @@ inline constexpr std::uint32_t kFrameMagic = 0x46444D48u;
 /// buffer it.
 inline constexpr std::uint64_t kMaxFramePayload = 64ull << 20;
 
+/// Hard ceiling on the shards one run is partitioned into (shard_range's
+/// overflow-free cut relies on it).
+inline constexpr std::uint32_t kMaxShards = 256;
+
 enum class FrameType : std::uint32_t {
-  /// Parent -> worker: shard descriptor + workload config blob.
+  /// Coordinator -> worker: shard descriptor + workload config blob.
   task = 1,
-  /// Worker -> parent: workload result payload.
+  /// Worker -> coordinator: workload result payload.
   result = 2,
-  /// Worker -> parent: serialized obs::Snapshot of the worker registry.
+  /// Worker -> coordinator: serialized obs::Snapshot of the worker registry.
   obs = 3,
-  /// Worker -> parent: structured failure description (string).
+  /// Worker -> coordinator: structured failure description (string).
   error = 4,
-  /// Worker -> parent: end-of-task marker carrying the task's id (its
+  /// Worker -> coordinator: end-of-task marker carrying the task's id (its
   /// span-start shard index, u32). With several tasks pipelined on one
   /// connection the coordinator matches replies FIFO; the done frame is
   /// the sequencing point that says "every frame before me belonged to
@@ -176,7 +180,7 @@ void append_frame(std::vector<std::uint8_t>& out, FrameType type,
                   std::span<const std::uint8_t> payload);
 
 /// Incremental frame decoder over a growing byte stream. feed() appends raw
-/// bytes (as read from the pipe); next() pops the earliest complete frame,
+/// bytes (as read from the socket); next() pops the earliest complete frame,
 /// or nullopt while one is still partial. idle() distinguishes a clean EOF
 /// (stream ended on a frame boundary) from a truncated one.
 class FrameParser {
@@ -193,9 +197,10 @@ class FrameParser {
   std::vector<std::uint8_t> buffer_;
 };
 
-/// The shard descriptor the parent hands each worker in its task frame.
+/// The shard descriptor the coordinator hands a worker in each task frame.
 struct ShardTask {
-  /// Name the workload handler was registered under (exec/shard.hpp).
+  /// Name the workload handler was registered under
+  /// (exec/cluster_protocol.hpp).
   std::string workload;
   /// First micro-shard this task covers, in [0, shard_count).
   std::uint32_t shard_index = 0;

@@ -278,7 +278,22 @@ struct Cursor {
     const auto raw = take(n);
     return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
   }
+  /// Reads an element count and checks that that many elements of at
+  /// least `min_bytes` each fit in the rest of the payload, so a hostile
+  /// count cannot size anything beyond the frame it arrived in.
+  std::size_t count(std::size_t min_bytes) {
+    const std::uint64_t n = u64();
+    if (n > (bytes.size() - pos) / min_bytes) {
+      throw std::runtime_error("obs snapshot: count exceeds the payload");
+    }
+    return static_cast<std::size_t>(n);
+  }
 };
+
+// Smallest encodings: a counter is a name length plus a value; a
+// histogram is a name length, seven u64 statistics and a bucket count.
+constexpr std::size_t kMinCounterBytes = 2 * 8;
+constexpr std::size_t kMinHistogramBytes = 9 * 8;
 
 }  // namespace
 
@@ -314,17 +329,17 @@ Snapshot parse_snapshot(std::span<const std::uint8_t> bytes) {
                              std::to_string(version));
   }
   Snapshot out;
-  const std::uint64_t counters = in.u64();
-  out.counters.reserve(static_cast<std::size_t>(counters));
-  for (std::uint64_t i = 0; i < counters; ++i) {
+  const std::size_t counters = in.count(kMinCounterBytes);
+  out.counters.reserve(counters);
+  for (std::size_t i = 0; i < counters; ++i) {
     CounterSnapshot c;
     c.name = in.str();
     c.value = in.u64();
     out.counters.push_back(std::move(c));
   }
-  const std::uint64_t histograms = in.u64();
-  out.histograms.reserve(static_cast<std::size_t>(histograms));
-  for (std::uint64_t i = 0; i < histograms; ++i) {
+  const std::size_t histograms = in.count(kMinHistogramBytes);
+  out.histograms.reserve(histograms);
+  for (std::size_t i = 0; i < histograms; ++i) {
     HistogramSnapshot h;
     h.name = in.str();
     h.count = in.u64();

@@ -221,10 +221,10 @@ class Registry {
 
   /// Folds `other` into this registry: counters add, histograms merge
   /// per-bucket (Histogram::merge), and metrics not yet registered here are
-  /// created. This is how the shard runner accumulates worker registries
-  /// into the parent's profile; merging N worker snapshots plus the
-  /// parent's own tallies yields exactly the counts a single-process run
-  /// would have recorded.
+  /// created. This is how a cluster coordinator accumulates its workers'
+  /// per-task deltas into its own profile; merging N worker snapshots
+  /// plus the coordinator's own tallies yields exactly the counts a
+  /// single-process run would have recorded.
   void merge(const Snapshot& other);
 
   /// Zeroes every metric; registrations (and cached references) survive.
@@ -254,7 +254,8 @@ class Registry {
 /// Stable binary serialization of a snapshot (little-endian, length-
 /// prefixed strings) — the payload of the shard protocol's obs frames.
 /// parse_snapshot(serialize_snapshot(s)) reproduces `s` field-for-field;
-/// malformed bytes throw std::runtime_error.
+/// malformed bytes throw std::runtime_error, including element counts
+/// longer than the bytes behind them (checked before anything is sized).
 [[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(const Snapshot& s);
 [[nodiscard]] Snapshot parse_snapshot(
     std::span<const std::uint8_t> bytes);

@@ -6,13 +6,13 @@
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <mutex>
@@ -21,16 +21,16 @@
 #include <thread>
 
 #include "exec/cluster_protocol.hpp"
-#include "exec/shard.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::serve {
 
 namespace {
 
-/// poll() with EINTR retry (signals — SIGCHLD from shard workers, the
-/// daemon's own SIGTERM — must not surface as transport errors; the
-/// shutdown signal is observed via the wake pipe, not via EINTR).
+/// poll() with EINTR retry (signals — the daemon's own SIGTERM, or any
+/// handler an embedding process installs — must not surface as transport
+/// errors; the shutdown signal is observed via the wake pipe, not via
+/// EINTR).
 int poll_retry(pollfd* fds, nfds_t count, int timeout_ms) {
   for (;;) {
     const int rc = ::poll(fds, count, timeout_ms);
@@ -43,6 +43,71 @@ void close_quietly(int& fd) {
     ::close(fd);
     fd = -1;
   }
+}
+
+// --- Shard-transport fault injection (test hook) ---------------------------
+// HMDIV_SHARD_FAULT="<mode>:<shard|*>" makes the shard endpoint misbehave
+// on its reply to every task whose span-start shard index is <shard> ('*'
+// matches every task — the deterministic spelling when the task → worker
+// mapping is timing-dependent, as it is under the pipelined coordinator's
+// concurrent startup). Modes: "connreset" RSTs the connection instead of
+// replying; "slowdrain" ships half the reply, then stalls past any
+// per-task deadline; "delay", spelled "delay:<shard|*>:<ms>", ships each
+// matching reply `ms` late, emulating WAN round-trip latency on loopback.
+// Anything else is no fault. Only fault-injection tests and benches set it.
+
+struct ShardFault {
+  enum class Mode { none, connreset, slowdrain, delay };
+  Mode mode = Mode::none;
+  bool every_task = false;
+  std::uint32_t shard = 0;
+  unsigned delay_ms = 0;
+
+  [[nodiscard]] bool matches(std::uint32_t shard_index) const {
+    return mode != Mode::none && (every_task || shard == shard_index);
+  }
+};
+
+/// Parses a whole decimal field; false on empty, trailing or overflow.
+template <typename T>
+bool parse_decimal(std::string_view text, T& value) {
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  return !text.empty() && ec == std::errc{} &&
+         end == text.data() + text.size();
+}
+
+ShardFault shard_fault_from_env() {
+  const char* raw = std::getenv("HMDIV_SHARD_FAULT");
+  if (raw == nullptr) return {};
+  const std::string_view text(raw);
+  const std::size_t colon = text.find(':');
+  if (colon == std::string_view::npos) return {};
+  const std::string_view mode = text.substr(0, colon);
+  std::string_view target = text.substr(colon + 1);
+  ShardFault fault;
+  if (mode == "delay") {
+    const std::size_t second = target.find(':');
+    if (second == std::string_view::npos ||
+        !parse_decimal(target.substr(second + 1), fault.delay_ms) ||
+        fault.delay_ms > 60'000) {
+      return {};
+    }
+    target = target.substr(0, second);
+    fault.mode = ShardFault::Mode::delay;
+  } else if (mode == "connreset") {
+    fault.mode = ShardFault::Mode::connreset;
+  } else if (mode == "slowdrain") {
+    fault.mode = ShardFault::Mode::slowdrain;
+  } else {
+    return {};
+  }
+  if (target == "*") {
+    fault.every_task = true;
+  } else if (!parse_decimal(target, fault.shard)) {
+    return {};
+  }
+  return fault;
 }
 
 }  // namespace
@@ -225,48 +290,6 @@ bool Server::send_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-bool Server::send_all_vec(int fd, std::vector<iovec>& iov) {
-  // sendmsg rather than writev: writev raises SIGPIPE on a dead peer,
-  // and MSG_NOSIGNAL is a per-call flag only sendmsg/send accept.
-  constexpr std::size_t kIovChunk = 64;  // safely under any IOV_MAX
-  std::size_t first = 0;
-  while (first < iov.size()) {
-    msghdr msg{};
-    msg.msg_iov = iov.data() + first;
-    msg.msg_iovlen = std::min(iov.size() - first, kIovChunk);
-    const ssize_t rc = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
-    if (rc <= 0) {
-      if (rc < 0 && errno == EINTR) continue;
-      // Same contract as send_all: a timed-out sendmsg mid-iovec used to
-      // drop the rest of the burst with no trace; the close is now
-      // attributed. iov still holds exactly the unsent tail (partial
-      // sends advanced it), so a resume-from-offset policy could retry —
-      // a peer making zero progress for a full window is dead, though,
-      // so closing is the right call.
-      if (rc < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        HMDIV_OBS_COUNT("serve.conn.send_timeout", 1);
-      } else {
-        HMDIV_OBS_COUNT("serve.conn.send_error", 1);
-      }
-      return false;
-    }
-    // Advance past fully-sent entries; trim a partially-sent one.
-    std::size_t advanced = static_cast<std::size_t>(rc);
-    while (advanced > 0) {
-      iovec& entry = iov[first];
-      if (advanced >= entry.iov_len) {
-        advanced -= entry.iov_len;
-        ++first;
-      } else {
-        entry.iov_base = static_cast<char*>(entry.iov_base) + advanced;
-        entry.iov_len -= advanced;
-        advanced = 0;
-      }
-    }
-  }
-  return true;
-}
-
 void Server::connection_loop(Connection& connection) {
   RequestScratch scratch;
   std::string in;
@@ -276,51 +299,16 @@ void Server::connection_loop(Connection& connection) {
   bool oversized = false;
   char buffer[64 * 1024];
 
-  // Batched mode: every complete line in a read burst is handed to the
-  // Service as one group so compute can coalesce across connections, and
-  // the group's responses flush with one vectored send. These vectors are
-  // reused across bursts so the steady state allocates nothing.
-  const bool batching = service_.batching();
-  std::vector<std::string_view> lines;
-  std::vector<std::string> responses;
-  std::vector<iovec> iov;
-
   // Answers every complete line currently buffered. Returns false when
   // the connection must close (oversized unfinished line).
   const auto process_buffered = [&]() -> bool {
-    if (batching) {
-      lines.clear();
-      std::size_t scan = consumed;
-      for (;;) {
-        const std::size_t newline = in.find('\n', scan);
-        if (newline == std::string::npos) break;
-        std::string_view line(in.data() + scan, newline - scan);
-        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-        if (!line.empty()) lines.push_back(line);
-        scan = newline + 1;
-      }
-      if (!lines.empty()) {
-        service_.handle_lines(lines, scratch, responses);
-        iov.clear();
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          if (responses[i].empty()) continue;
-          iovec entry{};
-          entry.iov_base = responses[i].data();
-          entry.iov_len = responses[i].size();
-          iov.push_back(entry);
-        }
-        if (!iov.empty()) peer_ok = send_all_vec(connection.fd, iov);
-      }
-      consumed = scan;
-    } else {
-      for (;;) {
-        const std::size_t newline = in.find('\n', consumed);
-        if (newline == std::string::npos) break;
-        std::string_view line(in.data() + consumed, newline - consumed);
-        if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-        if (!line.empty()) service_.handle_line(line, scratch, out);
-        consumed = newline + 1;
-      }
+    for (;;) {
+      const std::size_t newline = in.find('\n', consumed);
+      if (newline == std::string::npos) break;
+      std::string_view line(in.data() + consumed, newline - consumed);
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (!line.empty()) service_.handle_line(line, scratch, out);
+      consumed = newline + 1;
     }
     if (consumed == in.size()) {
       in.clear();
@@ -337,13 +325,7 @@ void Server::connection_loop(Connection& connection) {
       static constexpr char kOversized[] =
           "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"oversized\","
           "\"message\":\"request line exceeds the size limit\"}}\n";
-      if (batching) {
-        if (peer_ok) {
-          peer_ok = send_all(connection.fd, kOversized, sizeof kOversized - 1);
-        }
-      } else {
-        out += kOversized;
-      }
+      out += kOversized;
       return false;
     }
     return true;
@@ -410,6 +392,8 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
   exec::ShardSession session;
   char buffer[64 * 1024];
 
+  const ShardFault fault = shard_fault_from_env();
+
   // Injected WAN latency (HMDIV_SHARD_FAULT=delay:<shard|*>:<ms>): matching
   // replies route through a delayed-sender thread that ships each one at
   // its due time (enqueue + delay). Delays overlap — reply N+1's clock
@@ -419,7 +403,7 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
   // through the queue (unmatched ones with zero delay) so wire order stays
   // FIFO. Due times are monotone, so the front of the deque is always the
   // next reply due.
-  const unsigned delay_ms = exec::shard_fault_delay_ms();
+  const unsigned delay_ms = fault.delay_ms;  // 0 unless mode is delay
   struct DelayedReply {
     std::vector<std::uint8_t> bytes;
     std::chrono::steady_clock::time_point due;
@@ -461,8 +445,7 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
   };
 
   const auto enqueue_delayed = [&](const exec::ShardSession::Reply& reply) {
-    const bool matched = exec::shard_fault_mode(reply.shard_index) ==
-                         exec::ShardFaultMode::delay;
+    const bool matched = fault.matches(reply.shard_index);
     if (matched) HMDIV_OBS_COUNT("serve.shard.fault_delay", 1);
     DelayedReply item;
     item.bytes = reply.bytes;
@@ -487,8 +470,9 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
       enqueue_delayed(reply);
       return !reply.close && !delay_dead.load(std::memory_order_acquire);
     }
-    switch (exec::shard_fault_mode(reply.shard_index)) {
-      case exec::ShardFaultMode::connreset: {
+    switch (fault.matches(reply.shard_index) ? fault.mode
+                                             : ShardFault::Mode::none) {
+      case ShardFault::Mode::connreset: {
         // SO_LINGER{on, 0} turns close() into a RST — what a crashed
         // worker host looks like from the coordinator's side.
         HMDIV_OBS_COUNT("serve.shard.fault_connreset", 1);
@@ -499,7 +483,7 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
                      sizeof hard);
         return false;
       }
-      case exec::ShardFaultMode::slowdrain: {
+      case ShardFault::Mode::slowdrain: {
         // Half the reply, then a stall past any sane per-task deadline
         // (sliced so shutdown is not held hostage), then the rest. The
         // coordinator must give up mid-drain and reassign.
@@ -520,7 +504,8 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
                         reply.bytes.size() - half) &&
                !reply.close;
       }
-      default:
+      case ShardFault::Mode::none:
+      case ShardFault::Mode::delay:  // handled above when delay_ms > 0
         break;
     }
     if (!reply.bytes.empty() &&

@@ -16,13 +16,9 @@
 // Framing limits: a line longer than max_line_bytes cannot be resynced
 // (the frame boundary is lost), so the connection gets one structured
 // error response and is closed. Writes use send(MSG_NOSIGNAL) with a send
-// timeout so a stuck peer cannot wedge shutdown.
-//
-// Batched mode: when the Service runs a BatchExecutor
-// (service.batching()), each read burst's complete lines go through
-// Service::handle_lines — compute coalesces across connections — and the
-// burst's responses flush with one vectored sendmsg per group instead of
-// one send per response. Per-connection response order is unchanged.
+// timeout so a stuck peer cannot wedge shutdown. Every request line goes
+// through Service::handle_line on its connection's thread, so responses
+// leave in request order.
 #pragma once
 
 #include <atomic>
@@ -36,8 +32,6 @@
 #include <vector>
 
 #include "serve/service.hpp"
-
-struct iovec;
 
 namespace hmdiv::serve {
 
@@ -96,15 +90,12 @@ class Server {
   /// set RequestScratch::shard_upgrade. `initial` is whatever the peer
   /// pipelined behind the upgrade line — already frame bytes. Returns
   /// when the stream ends (EOF, send failure, protocol error, shutdown);
-  /// the caller closes the socket.
+  /// the caller closes the socket. Honours the HMDIV_SHARD_FAULT test
+  /// hook (connreset, slowdrain, delay; see server.cpp).
   void shard_loop(Connection& connection, std::string_view initial);
   /// Joins finished connection threads; returns the number still live.
   std::size_t reap_connections_locked();
   [[nodiscard]] bool send_all(int fd, const char* data, std::size_t size);
-  /// One-syscall group flush for batched mode: sendmsg with MSG_NOSIGNAL
-  /// over the iovec array (chunked under IOV_MAX), advancing through
-  /// partial sends. Consumes/modifies `iov`.
-  [[nodiscard]] static bool send_all_vec(int fd, std::vector<struct iovec>& iov);
 
   Service& service_;
   ServerOptions options_;

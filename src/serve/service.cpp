@@ -154,24 +154,23 @@ void append_operating_point(std::string& out,
 // --- Endpoint registry ---------------------------------------------------
 
 // The single source of truth for dispatch: row i describes Endpoint i.
-// handle_line / handle_lines route by it, the BatchExecutor callback
-// interprets its `kind` through it, unknown_op checks scan its names, and
-// the constructor registers metrics from it — so a new endpoint is one
-// row plus one handler, and the paths can never disagree about the list.
+// handle_line routes by it, unknown_op checks scan its names, and the
+// constructor registers metrics from it — so a new endpoint is one row
+// plus one handler, and the paths can never disagree about the list.
 const std::array<Service::EndpointEntry, Service::kEndpointCount>&
 Service::endpoint_table() {
   static const std::array<EndpointEntry, kEndpointCount> kTable = {{
-      // name, handler, compute, batchable, needs_state, cached
-      {"analyze", &Service::handle_analyze, true, true, true, false},
-      {"whatif", &Service::handle_whatif, true, true, true, true},
-      {"sweep", &Service::handle_sweep, true, true, true, true},
-      {"minimise", &Service::handle_minimise, true, true, true, true},
-      {"uq", &Service::handle_uq, true, true, true, true},
-      {"compare", &Service::handle_compare, true, true, true, false},
-      {"health", &Service::handle_health, false, false, true, false},
-      {"metrics", &Service::handle_metrics, false, false, false, false},
-      {"reload", &Service::handle_reload, false, false, false, false},
-      {"shard", &Service::handle_shard, false, false, false, false},
+      // name, handler, compute, needs_state, cached
+      {"analyze", &Service::handle_analyze, true, true, false},
+      {"whatif", &Service::handle_whatif, true, true, true},
+      {"sweep", &Service::handle_sweep, true, true, true},
+      {"minimise", &Service::handle_minimise, true, true, true},
+      {"uq", &Service::handle_uq, true, true, true},
+      {"compare", &Service::handle_compare, true, true, false},
+      {"health", &Service::handle_health, false, true, false},
+      {"metrics", &Service::handle_metrics, false, false, false},
+      {"reload", &Service::handle_reload, false, false, false},
+      {"shard", &Service::handle_shard, false, false, false},
   }};
   return kTable;
 }
@@ -312,27 +311,9 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
       metrics_[i].cache_miss = &registry.counter(base + ".cache_miss");
     }
   }
-
-  if (options_.batch_max > 1) {
-    BatchExecutor::Options executor_options;
-    executor_options.kinds = kEndpointCount;
-    executor_options.batch_max = options_.batch_max;
-    executor_options.batch_wait_us = options_.batch_wait_us;
-    executor_options.workers = std::max(1u, options_.batch_workers);
-    // The queue bound replaces the AdmissionGate for batched endpoints.
-    executor_options.max_queued = std::max<std::size_t>(1, options_.max_queue);
-    executor_ = std::make_unique<BatchExecutor>(
-        executor_options,
-        [this](std::size_t kind, std::span<BatchExecutor::Job> jobs) {
-          execute_batch(kind, jobs);
-        });
-  }
 }
 
-Service::~Service() {
-  // Stop the compute workers before any state they touch goes away.
-  if (executor_ != nullptr) executor_->stop();
-}
+Service::~Service() = default;
 
 void Service::clear_caches() {
   whatif_cache_.clear();
@@ -425,8 +406,8 @@ void Service::validate_request(Parsed& request) const {
   request.params = params;
 }
 
-void Service::execute_inline(const Parsed& request, RequestScratch& scratch,
-                             std::string& out) {
+void Service::execute(const Parsed& request, RequestScratch& scratch,
+                      std::string& out) {
   const EndpointEntry& entry = endpoint_table()[request.ep];
   if (!entry.compute) {
     if (entry.needs_state) {
@@ -459,14 +440,18 @@ void Service::execute_inline(const Parsed& request, RequestScratch& scratch,
   end_result(out);
 }
 
-void Service::dispatch_parsed(Parsed& request, RequestScratch& scratch,
-                              std::string& out) {
+void Service::handle_line(std::string_view line, RequestScratch& scratch,
+                          std::string& out) {
+  exec::Workspace& workspace = exec::thread_workspace();
+  const exec::Workspace::Scope scope(workspace);
+  Parsed request;
+  if (!parse_frame(line, scratch, out, request)) return;
   const bool obs_on = obs::enabled();
   EndpointMetrics& metrics = metrics_[request.ep];
   const std::size_t out_mark = out.size();
   try {
     validate_request(request);
-    execute_inline(request, scratch, out);
+    execute(request, scratch, out);
   } catch (const RequestError& e) {
     out.resize(out_mark);
     if (obs_on) metrics.errors->add(1);
@@ -485,310 +470,6 @@ void Service::dispatch_parsed(Parsed& request, RequestScratch& scratch,
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              request.t0)
             .count()));
-  }
-}
-
-void Service::handle_line(std::string_view line, RequestScratch& scratch,
-                          std::string& out) {
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  Parsed request;
-  if (!parse_frame(line, scratch, out, request)) return;
-  dispatch_parsed(request, scratch, out);
-}
-
-void Service::handle_lines(std::span<const std::string_view> lines,
-                           RequestScratch& scratch,
-                           std::vector<std::string>& responses) {
-  if (responses.size() < lines.size()) responses.resize(lines.size());
-  if (executor_ == nullptr) {
-    // Batching off: exactly the PR 7 path, one line at a time.
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      responses[i].clear();
-      handle_line(lines[i], scratch, responses[i]);
-    }
-    return;
-  }
-
-  // One workspace scope spans the whole burst: every parsed request's
-  // JSON nodes must stay alive until the Group completes, because worker
-  // threads read them (blocks never relocate, and the executor's queue
-  // mutex publishes them — see exec/workspace.hpp).
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  BatchExecutor::Group group;
-  const bool obs_on = obs::enabled();
-  for (std::size_t i = 0; i < lines.size(); ++i) {
-    std::string& out = responses[i];
-    out.clear();
-    Parsed request;
-    if (!parse_frame(lines[i], scratch, out, request)) continue;
-    const EndpointEntry& entry = endpoint_table()[request.ep];
-    EndpointMetrics& metrics = metrics_[request.ep];
-    const std::size_t out_mark = out.size();
-    bool submitted = false;
-    try {
-      validate_request(request);
-      if (entry.batchable) {
-        BatchExecutor::Job job;
-        job.kind = request.ep;
-        job.id = request.id;
-        job.params = request.params;
-        job.t0 = request.t0;
-        job.deadline = request.deadline;
-        job.out = &out;
-        job.group = &group;
-        if (executor_->submit(job)) {
-          submitted = true;
-        } else {
-          if (obs_on) metrics.shed->add(1);
-          write_error_line(out, request.id, "shed",
-                           "admission queue full; retry later");
-        }
-      } else {
-        // Non-batchable requests (health/metrics/reload) are in-order
-        // barriers: effects observable through them — epoch bumps,
-        // counter totals — must reflect every earlier request of this
-        // burst, exactly as the serial loop guarantees.
-        group.wait();
-        execute_inline(request, scratch, out);
-      }
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, "internal", e.what());
-    }
-    // Submitted jobs record their latency when the worker finishes them.
-    if (!submitted && obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               request.t0)
-              .count()));
-    }
-  }
-  group.wait();
-}
-
-// --- Batched compute (BatchExecutor worker side) -------------------------
-
-void Service::execute_batch(std::size_t kind,
-                            std::span<BatchExecutor::Job> jobs) {
-  // Worker-thread mirror of the per-connection scratch; capacities warm
-  // once per thread, keeping the steady state allocation free.
-  thread_local RequestScratch scratch;
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  const std::shared_lock<std::shared_mutex> lock(state_mutex_);
-  const Loaded& state = *state_;
-  if (kind == kWhatif) {
-    execute_whatif_batch(state, jobs, scratch);
-    return;
-  }
-  const EndpointEntry& entry = endpoint_table()[kind];
-  EndpointMetrics& metrics = metrics_[kind];
-  const bool obs_on = obs::enabled();
-  for (BatchExecutor::Job& job : jobs) {
-    Parsed request;
-    request.id = job.id;
-    request.params = job.params;
-    request.ep = kind;
-    request.t0 = job.t0;
-    request.deadline = job.deadline;
-    std::string& out = *job.out;
-    const std::size_t out_mark = out.size();
-    try {
-      check_deadline(request.deadline);
-      begin_result(out, request.id);
-      (this->*entry.handler)(&state, request, scratch, out);
-      end_result(out);
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, request.id, "internal", e.what());
-    }
-    if (obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               job.t0)
-              .count()));
-    }
-  }
-}
-
-void Service::execute_whatif_batch(const Loaded& state,
-                                   std::span<BatchExecutor::Job> jobs,
-                                   RequestScratch& scratch) {
-  constexpr std::size_t kNone = ~std::size_t{0};
-  const bool obs_on = obs::enabled();
-  EndpointMetrics& metrics = metrics_[kWhatif];
-  exec::Workspace& workspace = exec::thread_workspace();
-
-  // Per-job routing state. Keys and per-class factor lists are copied
-  // into the workspace because scratch.key / scratch.class_factors are
-  // reused by the next job's resolve.
-  struct Slot {
-    std::span<const double> key;
-    WhatifNumbers numbers;
-    std::size_t miss = kNone;    // index into the unique-miss spec array
-    std::size_t dup_of = kNone;  // earlier slot with the same key
-    bool ok = false;
-    bool cached = false;
-  };
-  const std::span<Slot> slots = workspace.alloc<Slot>(jobs.size());
-  const std::span<core::ScenarioSpec> specs =
-      workspace.alloc<core::ScenarioSpec>(jobs.size());
-  const std::span<core::ScenarioNumbers> computed =
-      workspace.alloc<core::ScenarioNumbers>(jobs.size());
-
-  const bool cache_on = whatif_cache_.enabled();
-  std::size_t miss_count = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    BatchExecutor::Job& job = jobs[i];
-    Slot& slot = slots[i];
-    slot = Slot{};
-    std::string& out = *job.out;
-    const std::size_t out_mark = out.size();
-    try {
-      check_deadline(job.deadline);
-      const JsonValue& spec_json =
-          job.params != nullptr ? *job.params : kEmptyParams;
-      const WhatifRequest parsed = resolve_whatif(state, spec_json, scratch);
-      const std::span<double> key =
-          workspace.alloc<double>(scratch.key.size());
-      std::copy(scratch.key.begin(), scratch.key.end(), key.begin());
-      slot.key = key;
-      if (const std::optional<WhatifNumbers> hit = whatif_cache_.find(
-              std::span<const double>(slot.key))) {
-        slot.numbers = *hit;
-        slot.cached = true;
-        if (obs_on) metrics.cache_hit->add(1);
-      } else {
-        // Within-batch dedupe — but only when the cache is enabled. With
-        // the cache off the serial path recomputes and answers
-        // "cached":false for every request, and byte identity requires
-        // the coalesced path to do the same.
-        std::size_t dup = kNone;
-        if (cache_on) {
-          for (std::size_t j = 0; j < i && dup == kNone; ++j) {
-            if (slots[j].ok && slots[j].miss != kNone &&
-                slots[j].key.size() == slot.key.size() &&
-                std::equal(slot.key.begin(), slot.key.end(),
-                           slots[j].key.begin())) {
-              dup = j;
-            }
-          }
-        }
-        if (dup != kNone) {
-          slot.dup_of = dup;
-          slot.cached = true;
-          if (obs_on) metrics.cache_hit->add(1);
-        } else {
-          slot.miss = miss_count;
-          core::ScenarioSpec& spec = specs[miss_count];
-          spec = core::ScenarioSpec{};
-          spec.profile = parsed.use_field ? &state.field : nullptr;
-          spec.reader_failure_factor = parsed.reader_factor;
-          spec.machine_failure_factor = parsed.machine_factor;
-          if (!scratch.class_factors.empty()) {
-            const std::span<core::ClassFactor> factors =
-                workspace.alloc<core::ClassFactor>(
-                    scratch.class_factors.size());
-            for (std::size_t f = 0; f < factors.size(); ++f) {
-              factors[f] = {scratch.class_factors[f].first,
-                            scratch.class_factors[f].second};
-            }
-            spec.per_class_machine_factors = factors;
-          }
-          ++miss_count;
-          if (obs_on) metrics.cache_miss->add(1);
-        }
-      }
-      slot.ok = true;
-    } catch (const RequestError& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, e.code, e.message);
-    } catch (const std::invalid_argument& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, kBadRequest, e.what());
-    } catch (const std::exception& e) {
-      out.resize(out_mark);
-      if (obs_on) metrics.errors->add(1);
-      write_error_line(out, job.id, "internal", e.what());
-    }
-    if (!slot.ok && obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               job.t0)
-              .count()));
-    }
-  }
-
-  // One SoA evaluation over every unique miss in the batch. Specs were
-  // validated during resolve, so a throw here is defensive: fail the
-  // whole miss set rather than publish half-written numbers.
-  if (miss_count > 0) {
-    try {
-      state.extrapolator.evaluate_batch(specs.first(miss_count),
-                                        computed.first(miss_count));
-    } catch (const std::exception& e) {
-      for (std::size_t i = 0; i < jobs.size(); ++i) {
-        Slot& slot = slots[i];
-        if (!slot.ok || (slot.miss == kNone && slot.dup_of == kNone)) {
-          continue;
-        }
-        slot.ok = false;
-        if (obs_on) metrics.errors->add(1);
-        write_error_line(*jobs[i].out, jobs[i].id, "internal", e.what());
-      }
-      miss_count = 0;
-    }
-  }
-
-  // Publish in request order: a miss renders then inserts, a duplicate
-  // reads the earlier slot (already published — dup_of < i).
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    Slot& slot = slots[i];
-    if (!slot.ok) continue;
-    if (slot.miss != kNone) {
-      const core::ScenarioNumbers& numbers = computed[slot.miss];
-      slot.numbers = WhatifNumbers{numbers.system_failure,
-                                   numbers.machine_failure,
-                                   numbers.failure_floor,
-                                   numbers.decomposition.floor,
-                                   numbers.decomposition.mean_field,
-                                   numbers.decomposition.covariance};
-      whatif_cache_.insert(std::span<const double>(slot.key), slot.numbers);
-    } else if (slot.dup_of != kNone) {
-      slot.numbers = slots[slot.dup_of].numbers;
-    }
-    std::string& out = *jobs[i].out;
-    begin_result(out, jobs[i].id);
-    append_whatif_body(out, slot.numbers, slot.cached);
-    end_result(out);
-    if (obs_on) {
-      metrics.ns->record(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                               jobs[i].t0)
-              .count()));
-    }
   }
 }
 

@@ -30,13 +30,6 @@
 // serve.<ep>.ns histogram per endpoint, plus serve.<ep>.cache_hit/_miss
 // for the cached endpoints; all registered once at construction and
 // gated on obs::enabled().
-//
-// Batched mode (DESIGN.md §14): with batch_max > 1 a BatchExecutor owns
-// the compute — handle_lines() parses and validates on the connection
-// thread, enqueues batchable requests per endpoint, and a worker pool
-// coalesces them onto the batched kernels. batch_max <= 1 keeps the
-// PR 7 inline path; every coalesced response is byte-identical to its
-// uncoalesced form (test-gated).
 #pragma once
 
 #include <array>
@@ -46,7 +39,6 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,7 +52,6 @@
 #include "core/uncertainty.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
-#include "serve/batch_executor.hpp"
 #include "serve/json.hpp"
 
 namespace hmdiv::serve {
@@ -88,15 +79,6 @@ struct ServiceOptions {
   /// Synthetic per-class trial size used to derive posterior counts for
   /// the uq endpoint when the request supplies none.
   std::uint64_t uq_cases_per_class = 2000;
-  /// Cross-request coalescing (DESIGN.md §14). batch_max <= 1 disables
-  /// the BatchExecutor entirely — the exact PR 7 inline path. With
-  /// batch_max > 1, up to batch_max same-endpoint requests are computed
-  /// as one batch; a partial batch waits at most batch_wait_us (bounded
-  /// by the earliest queued deadline) before computing anyway.
-  std::size_t batch_max = 1;
-  std::uint64_t batch_wait_us = 100;
-  /// Compute worker threads draining the batch queues.
-  unsigned batch_workers = 1;
 };
 
 /// Per-connection reusable parse/compute scratch. Buffer capacities
@@ -128,21 +110,6 @@ class Service {
   /// exactly one newline-terminated response line to `out`.
   void handle_line(std::string_view line, RequestScratch& scratch,
                    std::string& out);
-
-  /// Handles a burst of pipelined request lines. responses is resized to
-  /// at least lines.size(); responses[i] is overwritten with exactly one
-  /// newline-terminated response line for lines[i] — request order is
-  /// preserved regardless of how compute is scheduled. In batched mode
-  /// batchable requests are enqueued on the BatchExecutor and coalesced
-  /// across connections; non-batchable requests (health/metrics/reload)
-  /// act as in-order barriers. With batching off this is exactly a
-  /// handle_line loop.
-  void handle_lines(std::span<const std::string_view> lines,
-                    RequestScratch& scratch,
-                    std::vector<std::string>& responses);
-
-  /// True when a BatchExecutor is running (options.batch_max > 1).
-  [[nodiscard]] bool batching() const { return executor_ != nullptr; }
 
   /// Atomically replaces the model bundle, clears every result cache and
   /// bumps the epoch. Throws std::invalid_argument on incompatible inputs
@@ -222,9 +189,8 @@ class Service {
   };
 
   /// One parsed and routed request frame. root/id/params point into the
-  /// calling thread's workspace and stay valid for the enclosing
-  /// Workspace::Scope's lifetime (batched jobs rely on the submitter
-  /// keeping that scope open until its Group completes).
+  /// calling thread's workspace and stay valid for handle_line's
+  /// Workspace::Scope.
   struct Parsed {
     const JsonValue* root = nullptr;
     const JsonValue* id = nullptr;
@@ -242,15 +208,12 @@ class Service {
                                     RequestScratch& scratch, std::string& out);
 
   /// One row of the endpoint registry: the single source of truth shared
-  /// by handle_line, handle_lines, the BatchExecutor callback, unknown_op
-  /// checks and metrics registration.
+  /// by handle_line, unknown_op checks and metrics registration.
   struct EndpointEntry {
     std::string_view name;
     Handler handler = nullptr;
-    /// Admission-controlled compute (vs health/metrics/reload).
+    /// Admission-controlled compute (vs health/metrics/reload/shard).
     bool compute = false;
-    /// May be coalesced by the BatchExecutor.
-    bool batchable = false;
     /// Runs under the shared state lock with the Loaded bundle.
     bool needs_state = false;
     /// Registers serve.<ep>.cache_hit/_miss counters.
@@ -283,25 +246,10 @@ class Service {
   /// deadline_ms / params shape checks; fills request.deadline / .params.
   /// Throws RequestError on violations.
   void validate_request(Parsed& request) const;
-  /// The PR 7 execution order for one validated request: admission for
-  /// compute endpoints, then the handler under the shared state lock.
-  void execute_inline(const Parsed& request, RequestScratch& scratch,
-                      std::string& out);
-  /// validate + execute_inline wrapped in the uniform error rendering and
-  /// the per-endpoint latency record.
-  void dispatch_parsed(Parsed& request, RequestScratch& scratch,
-                       std::string& out);
-
-  /// BatchExecutor callback: computes one drained batch of same-endpoint
-  /// jobs on a worker thread.
-  void execute_batch(std::size_t kind, std::span<BatchExecutor::Job> jobs);
-  /// The coalesced whatif path: dedupes against the cache and within the
-  /// batch, evaluates every unique miss through one
-  /// Extrapolator::evaluate_batch call, then renders per job in request
-  /// order.
-  void execute_whatif_batch(const Loaded& state,
-                            std::span<BatchExecutor::Job> jobs,
-                            RequestScratch& scratch);
+  /// Runs one validated request: admission for compute endpoints, then
+  /// the handler under the shared state lock.
+  void execute(const Parsed& request, RequestScratch& scratch,
+               std::string& out);
 
   // Endpoint handlers (uniform Handler signature; rows of the table).
   void handle_analyze(const Loaded* state, const Parsed& request,
@@ -354,10 +302,6 @@ class Service {
   mutable core::EvalCache<UqNumbers> uq_cache_;
 
   std::array<EndpointMetrics, kEndpointCount> metrics_{};
-
-  /// Present only in batched mode (options.batch_max > 1). Declared last
-  /// so destruction stops the workers before anything they touch dies.
-  std::unique_ptr<BatchExecutor> executor_;
 };
 
 }  // namespace hmdiv::serve

@@ -7,6 +7,7 @@
 #include "core/demand_profile.hpp"
 #include "core/sequential_model.hpp"
 #include "exec/cluster.hpp"
+#include "exec/cluster_protocol.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::sim {
@@ -97,9 +98,11 @@ void decode_records_into(std::span<const std::uint8_t> payload,
                          std::vector<CaseRecord>& out,
                          std::size_t class_count) {
   exec::wire::Reader r(payload);
-  const std::uint64_t n = r.u64();
-  out.reserve(out.size() + static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+  // Each record is a u32 class index plus a u8 flag byte, so the count a
+  // worker claims can size nothing beyond the reply it arrived in.
+  const std::size_t n = r.count(sizeof(std::uint32_t) + sizeof(std::uint8_t));
+  out.reserve(out.size() + n);
+  for (std::size_t i = 0; i < n; ++i) {
     CaseRecord record;
     record.class_index = r.u32();
     const std::uint8_t flags = r.u8();
@@ -124,16 +127,16 @@ std::vector<std::uint8_t> handle_trial_shard(
   TrialRunner runner(config.world, config.case_count);
   const exec::wire::ShardRange range =
       exec::wire::task_range(runner.batch_count(), task);
-  return encode_records(
-      runner.run_batches(config.seed, range.begin, range.end));
+  return encode_records(runner.run_batches(config.seed, range.begin,
+                                           range.end,
+                                           exec::Config{task.threads}));
 }
 
 const exec::ShardWorkloadRegistration kRegistration{kTrialShardWorkload,
                                                     &handle_trial_shard};
 
-/// Ascending-shard merge shared by the process-sharded and clustered
-/// paths; both transports return payloads in shard order, so the merged
-/// record stream is transport-independent.
+/// Ascending-shard merge: the coordinator returns payloads in shard order,
+/// so the merged record stream is independent of the task partition.
 TrialData merge_trial_payloads(
     const TabularWorld& world, std::uint64_t case_count,
     const std::vector<std::vector<std::uint8_t>>& payloads) {
@@ -151,23 +154,6 @@ TrialData merge_trial_payloads(
 }
 
 }  // namespace
-
-TrialData run_trial_sharded(const TabularWorld& world,
-                            std::uint64_t case_count, std::uint64_t seed,
-                            const exec::ShardOptions& options) {
-  const exec::ShardRunner runner(options);
-  if (runner.resolved_shards() == 1) {
-    // No fan-out: run on the in-process engine directly (same output).
-    TabularWorld local(world.model(), world.profile());
-    return TrialRunner(local, case_count)
-        .run(seed, options.threads ? exec::Config{options.threads}
-                                   : exec::default_config());
-  }
-  HMDIV_OBS_SCOPED_TIMER("sim.trial.shard_ns");
-  const std::vector<std::uint8_t> blob = encode_blob(world, case_count, seed);
-  return merge_trial_payloads(world, case_count,
-                              runner.run(kTrialShardWorkload, blob));
-}
 
 TrialData run_trial_clustered(const TabularWorld& world,
                               std::uint64_t case_count, std::uint64_t seed,

@@ -1,17 +1,17 @@
-// Multi-process sharding of TabularWorld Monte-Carlo trials.
+// Cluster sharding of TabularWorld Monte-Carlo trials.
 //
 // The "sim.trial" shard workload ships a (SequentialModel, DemandProfile,
 // case_count, seed) description to each worker as IEEE-754 bit patterns;
 // workers rebuild the world through the bit-exact from_normalised path,
-// run their wire::shard_range slice of the fixed batch index space with
-// TrialRunner::run_batches, and return the per-case records. The parent's
-// concatenation (ascending shard order) is bit-identical to
+// run their wire::task_range slice of the fixed batch index space with
+// TrialRunner::run_batches, and return the per-case records. The
+// coordinator's concatenation (ascending shard order) is bit-identical to
 // TrialRunner::run(seed, config) in one process.
 #pragma once
 
 #include <cstdint>
+#include <string_view>
 
-#include "exec/shard.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
 
@@ -30,20 +30,11 @@ inline constexpr std::string_view kTrialShardWorkload = "sim.trial";
 /// whole trial. Larger trials belong to TabularWorld::simulate_counts.
 inline constexpr std::uint64_t kMaxTrialShardCases = 10'000'000;
 
-/// Runs a `case_count`-case trial on `world` across worker processes
-/// (options.shards; 1 falls back to the in-process TrialRunner without
-/// spawning anything). Output is bit-identical to
-/// TrialRunner(world, case_count).run(seed) at any shard × thread
-/// composition. Throws exec::ShardError on worker failure.
-[[nodiscard]] TrialData run_trial_sharded(
-    const TabularWorld& world, std::uint64_t case_count, std::uint64_t seed,
-    const exec::ShardOptions& options = {});
-
-/// Same trial, fanned across remote hmdiv_serve workers via `cluster`
-/// (DESIGN.md §15). Identical blob, shard_range partition and ascending-
-/// shard merge as run_trial_sharded, so the output is bit-identical to the
-/// in-process run at any worker × shard composition. Throws
-/// exec::ClusterError when no healthy worker can finish a shard.
+/// Runs a `case_count`-case trial on `world` across remote hmdiv_serve
+/// workers via `cluster` (DESIGN.md §15). Output is bit-identical to
+/// TrialRunner(world, case_count).run(seed) at any worker × shard ×
+/// thread composition. Throws exec::ClusterError when no healthy worker
+/// can finish a shard, and exec::wire::ProtocolError on a malformed reply.
 [[nodiscard]] TrialData run_trial_clustered(const TabularWorld& world,
                                             std::uint64_t case_count,
                                             std::uint64_t seed,

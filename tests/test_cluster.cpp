@@ -4,13 +4,14 @@
 // real spawned hmdiv_serve daemons (bit-identity for every clustered
 // workload at several worker × shard compositions), transport-fault
 // reassignment (connection reset, slow drain past the task deadline, dead
-// workers), and the serve metrics `workers` array.
+// workers), hostile worker replies, and the serve metrics `workers` array.
 //
 // Daemon-backed tests spawn the real hmdiv_serve binary (HMDIV_SERVE_BIN,
 // exported by the test harness) on loopback ephemeral ports; they
 // self-skip under ThreadSanitizer (fork/exec of a threaded parent is
-// outside TSan's model) and when the binary is absent. The protocol and
-// determinism pieces that stay in-process always run.
+// outside TSan's model) and when the binary is absent. The protocol
+// pieces, and the tests that serve from an in-process serve::Server,
+// always run.
 #include "exec/cluster.hpp"
 
 #include <gtest/gtest.h>
@@ -27,6 +28,7 @@
 #include <cstdlib>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cli/parse_util.hpp"
@@ -37,9 +39,9 @@
 #include "core/uncertainty_shard.hpp"
 #include "exec/cluster_protocol.hpp"
 #include "exec/config.hpp"
-#include "exec/shard.hpp"
 #include "exec/shard_protocol.hpp"
 #include "obs/obs.hpp"
+#include "serve/server.hpp"
 #include "serve/service.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
@@ -155,7 +157,7 @@ exec::ClusterOptions cluster_options(std::vector<std::string> workers,
   return options;
 }
 
-// --- reference fixtures (mirror tests/test_shard.cpp) ---------------------
+// --- reference fixtures ---------------------------------------------------
 
 core::TradeoffAnalyzer reference_analyzer() {
   core::BinormalMachine machine;
@@ -479,6 +481,27 @@ TEST(ClusterSessionTest, CachedBlobTasksReuseTheConnectionBlob) {
   EXPECT_EQ(blob[2], 3u);
 }
 
+TEST(ClusterSessionTest, TaskThreadBudgetLeavesTheDefaultConfigAlone) {
+  // task.threads reaches the handler through the task; it must not
+  // rewrite the daemon's process-wide default, which concurrent
+  // coordinator connections would otherwise overwrite for each other.
+  const exec::Config saved = exec::default_config();
+  exec::set_default_config(exec::Config{1});
+  wire::ShardTask task;
+  task.workload = "cluster.echo";
+  task.threads = 3;
+  std::vector<std::uint8_t> frame;
+  wire::append_frame(frame, wire::FrameType::task, wire::serialize_task(task));
+  exec::ShardSession session;
+  const auto replies = session.consume(frame);
+  const unsigned after = exec::default_config().threads;
+  exec::set_default_config(saved);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(parse_reply(replies[0].bytes).front().type,
+            wire::FrameType::result);
+  EXPECT_EQ(after, 1u);
+}
+
 TEST(ClusterSessionTest, CachedTaskWithoutPriorBlobIsAnError) {
   exec::ShardSession session;
   wire::ShardTask cached;
@@ -577,6 +600,29 @@ TEST(ClusterRunnerTest, SweepAndMinimiseAreBitIdentical) {
     EXPECT_EQ(stats.retries, 0u) << stats.address;
     EXPECT_GT(stats.tasks, 0u) << stats.address;
   }
+}
+
+TEST(ShardDeterminism, SweepHandlesFewerPointsThanShards) {
+  HMDIV_REQUIRE_DAEMONS();
+  SpawnedDaemon a;
+  SpawnedDaemon b;
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  // A grid shorter than the shard count: most tasks cover no points, and
+  // the merge must still reproduce the in-process sweep and scan.
+  const core::TradeoffAnalyzer analyzer = reference_analyzer();
+  exec::ClusterRunner wide(
+      cluster_options({a.address(), b.address()}, /*shards=*/8));
+  const std::vector<double> short_grid{-1.0, 0.0, 1.0};
+  expect_points_equal(core::sweep_clustered(analyzer, short_grid, wide),
+                      analyzer.sweep(short_grid, exec::Config{1}));
+  const auto short_best =
+      core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0, 3, wide);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(short_best.threshold),
+            std::bit_cast<std::uint64_t>(
+                analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 3,
+                                       exec::Config{1})
+                    .threshold));
 }
 
 TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
@@ -678,6 +724,60 @@ TEST(ClusterRunnerTest, DeadWorkerFailsOverToHealthyOne) {
   EXPECT_EQ(stats[0].tasks, 0u);
   EXPECT_FALSE(stats[0].last_error.empty());
   EXPECT_EQ(stats[1].tasks, 3u);
+}
+
+// --- hostile worker replies -----------------------------------------------
+
+/// A "sim.trial" reply that claims 2^50 records but carries one: a
+/// coordinator that sized its buffer from the count would ask for
+/// petabytes.
+std::vector<std::uint8_t> hostile_trial_handler(const wire::ShardTask&) {
+  wire::Writer w;
+  w.u64(std::uint64_t{1} << 50);
+  w.u32(0);  // class index
+  w.u8(0);   // flags
+  return w.take();
+}
+
+/// Swaps a registered workload for a stub and restores the real handler
+/// on scope exit, so a failing assertion cannot leak the stub.
+class WorkloadStub {
+ public:
+  WorkloadStub(std::string_view name, exec::ShardHandler stub)
+      : name_(name), real_(exec::find_shard_workload(name)) {
+    exec::register_shard_workload(name_, stub);
+  }
+  ~WorkloadStub() { exec::register_shard_workload(name_, real_); }
+  WorkloadStub(const WorkloadStub&) = delete;
+  WorkloadStub& operator=(const WorkloadStub&) = delete;
+
+  [[nodiscard]] bool had_real() const { return real_ != nullptr; }
+
+ private:
+  std::string name_;
+  exec::ShardHandler real_;
+};
+
+TEST(ClusterHostileReplyTest, TrialRecordCountBeyondThePayloadThrows) {
+  sim::ensure_trial_shard_registered();
+  const WorkloadStub stub(sim::kTrialShardWorkload, &hostile_trial_handler);
+  ASSERT_TRUE(stub.had_real());
+  // The worker is an in-process daemon, so it dispatches through this
+  // process's registry — and the stub.
+  serve::Service service(core::paper::example_model(),
+                         core::paper::trial_profile(),
+                         core::paper::field_profile(), {});
+  serve::Server server(service);
+  server.start();
+  {
+    exec::ClusterRunner cluster(cluster_options(
+        {"127.0.0.1:" + std::to_string(server.port())}, /*shards=*/1));
+    const sim::TabularWorld world(core::paper::example_model(),
+                                  core::paper::trial_profile());
+    EXPECT_THROW((void)sim::run_trial_clustered(world, 1000, 1, cluster),
+                 wire::ProtocolError);
+  }
+  server.shutdown();
 }
 
 // --- injected transport faults --------------------------------------------

@@ -274,7 +274,7 @@ TEST(ObsMacros, CountUnderParallelForIsExact) {
 }
 #endif  // HMDIV_OBS
 
-// --- Snapshot merge + serialization (the shard engine's obs transport) ----
+// --- Snapshot merge + serialization (the cluster's obs transport) --------
 
 const obs::HistogramSnapshot* find_histogram(const obs::Snapshot& snap,
                                              const std::string& name) {
@@ -394,6 +394,30 @@ TEST(ObsMerge, ParseRejectsTruncatedAndTrailingBytes) {
                std::runtime_error);
   bytes.push_back(0);
   EXPECT_THROW(static_cast<void>(obs::parse_snapshot(bytes)),
+               std::runtime_error);
+}
+
+TEST(ObsMerge, ParseBoundsCountsByThePayload) {
+  // A 16-byte header that claims 2^50 counters (and, separately, 2^50
+  // histograms) must be rejected before anything is sized from the
+  // count: an obs frame arrives from a remote worker and is untrusted.
+  const std::vector<std::uint8_t> empty =
+      obs::serialize_snapshot(obs::Snapshot{});
+  const auto with_count = [&](std::size_t at) {
+    std::vector<std::uint8_t> bytes(
+        empty.begin(), empty.begin() + static_cast<std::ptrdiff_t>(at));
+    const std::uint64_t huge = std::uint64_t{1} << 50;
+    for (int b = 0; b < 8; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(huge >> (8 * b)));
+    }
+    return bytes;
+  };
+  const std::vector<std::uint8_t> counters = with_count(8);  // after version
+  ASSERT_EQ(counters.size(), 16u);
+  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(counters)),
+               std::runtime_error);
+  const std::vector<std::uint8_t> histograms = with_count(16);
+  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(histograms)),
                std::runtime_error);
 }
 

@@ -1,148 +1,29 @@
-// Tests for the multi-process shard engine: the wire protocol
-// (exec/shard_protocol.hpp), the fork/exec runner (exec/shard.hpp), the
-// 1-vs-N bit-identity contract of every sharded workload, and structured
-// failure handling under injected worker faults.
-//
-// The fork/exec tests re-enter this very binary through the
-// --shard-worker flag (see tests/test_main.cpp), so workload handlers
-// registered in this TU are available in the workers too. ThreadSanitizer
-// does not support fork/exec'd children that keep running threaded code,
-// so every test that actually spawns workers self-skips under TSan; the
-// protocol and determinism-contract pieces that stay in-process still run.
-#include "exec/shard.hpp"
+// Tests for the HMDF shard wire protocol (exec/shard_protocol.hpp) and for
+// the workload decoders' defences against hostile task blobs. The
+// bit-identity of every sharded workload is covered end to end by the
+// cluster suites in tests/test_cluster.cpp.
+#include "exec/shard_protocol.hpp"
 
 #include <gtest/gtest.h>
 
-#include <sys/time.h>
-#include <sys/wait.h>
-
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "core/paper_example.hpp"
-#include "core/tradeoff.hpp"
 #include "core/tradeoff_shard.hpp"
-#include "core/uncertainty.hpp"
 #include "core/uncertainty_shard.hpp"
-#include "exec/config.hpp"
-#include "obs/obs.hpp"
-#include "sim/tabular_world.hpp"
-#include "sim/trial.hpp"
+#include "exec/cluster_protocol.hpp"
 #include "sim/trial_shard.hpp"
-#include "stats/rng.hpp"
-
-#if defined(__SANITIZE_THREAD__)
-#define HMDIV_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HMDIV_TSAN 1
-#endif
-#endif
-#ifndef HMDIV_TSAN
-#define HMDIV_TSAN 0
-#endif
-
-// Fork/exec of a threaded parent is outside TSan's supported model; the
-// runner itself is exercised by the non-sanitized jobs.
-#define HMDIV_SKIP_FORK_UNDER_TSAN()                                   \
-  do {                                                                 \
-    if (HMDIV_TSAN) {                                                  \
-      GTEST_SKIP() << "fork/exec workers are not TSan-instrumentable"; \
-    }                                                                  \
-  } while (0)
 
 namespace hmdiv {
 namespace {
 
 namespace wire = exec::wire;
-
-/// Scoped environment override that restores the previous value.
-class EnvGuard {
- public:
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~EnvGuard() {
-    if (had_value_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-// --- Test workloads (registered in workers too: same binary) --------------
-
-std::vector<std::uint8_t> echo_handler(const wire::ShardTask& task) {
-  wire::Writer w;
-  w.u32(task.shard_index);
-  w.u32(task.shard_count);
-  w.bytes(task.blob);
-  return w.take();
-}
-
-std::vector<std::uint8_t> boom_handler(const wire::ShardTask&) {
-  throw std::runtime_error("deliberate test explosion");
-}
-
-const exec::ShardWorkloadRegistration kEchoRegistration{"test.echo",
-                                                        &echo_handler};
-const exec::ShardWorkloadRegistration kBoomRegistration{"test.boom",
-                                                        &boom_handler};
-
-exec::ShardOptions test_options(unsigned shards,
-                                std::chrono::milliseconds deadline =
-                                    std::chrono::milliseconds(60'000)) {
-  exec::ShardOptions options;
-  options.shards = shards;
-  options.threads = 1;
-  options.deadline = deadline;
-  return options;
-}
-
-/// Runs a workload expecting a ShardError and returns its failure record.
-exec::ShardFailure expect_failure(std::string_view workload,
-                                  const exec::ShardOptions& options) {
-  const exec::ShardRunner runner(options);
-  try {
-    static_cast<void>(runner.run(workload, {}));
-  } catch (const exec::ShardError& e) {
-    return e.failure();
-  }
-  ADD_FAILURE() << "expected ShardError from workload " << workload;
-  return exec::ShardFailure{};
-}
-
-/// After every failure path the runner must have reaped all children.
-void expect_no_zombies() {
-  errno = 0;
-  const pid_t pid = ::waitpid(-1, nullptr, WNOHANG);
-  EXPECT_TRUE(pid == -1 && errno == ECHILD)
-      << "unreaped child remains (waitpid returned " << pid << ")";
-}
 
 // --- Protocol -------------------------------------------------------------
 
@@ -189,8 +70,8 @@ constexpr std::uint64_t kHostileSize = std::uint64_t{1} << 40;
 /// Runs a workload's registered handler on `blob` as a whole-range task.
 std::vector<std::uint8_t> run_handler(std::string_view workload,
                                       std::vector<std::uint8_t> blob) {
-  // Link the registering TUs even where the fork tests that would pull
-  // them in compile away (TSan builds).
+  // Link the registering TUs (static registrations in static libraries
+  // are dropped unless something references them).
   sim::ensure_trial_shard_registered();
   core::ensure_uncertainty_shard_registered();
   core::ensure_tradeoff_shard_registered();
@@ -518,365 +399,6 @@ TEST(ShardProtocol, ShardRangePartitionsExactly) {
       EXPECT_EQ(previous_end, items);
     }
   }
-}
-
-// --- Environment default --------------------------------------------------
-
-TEST(ShardEnv, ParsesWellFormedCounts) {
-  EnvGuard guard("HMDIV_SHARDS", "3");
-  exec::detail::reset_shard_env_warning();
-  EXPECT_EQ(exec::shard_count_from_env(), 3U);
-}
-
-TEST(ShardEnv, UnsetMeansNoFanOut) {
-  EnvGuard guard("HMDIV_SHARDS", nullptr);
-  exec::detail::reset_shard_env_warning();
-  EXPECT_EQ(exec::shard_count_from_env(), 1U);
-}
-
-TEST(ShardEnv, MalformedValuesFallBackToOne) {
-  exec::detail::reset_shard_env_warning();
-  for (const char* bad : {"0", "2x", "x", "-1", "257",
-                          "99999999999999999999999"}) {
-    EnvGuard guard("HMDIV_SHARDS", bad);
-    exec::detail::reset_shard_env_warning();
-    EXPECT_EQ(exec::shard_count_from_env(), 1U) << "value: " << bad;
-  }
-}
-
-// --- Runner ---------------------------------------------------------------
-
-TEST(ShardRunnerTest, EchoAcrossWorkersMergesInShardOrder) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const std::vector<std::uint8_t> blob{10, 20, 30};
-  const exec::ShardRunner runner(test_options(3));
-  const auto payloads = runner.run("test.echo", blob);
-  ASSERT_EQ(payloads.size(), 3U);
-  for (std::uint32_t s = 0; s < 3; ++s) {
-    wire::Reader r(payloads[s]);
-    EXPECT_EQ(r.u32(), s);  // ascending shard order = deterministic merge
-    EXPECT_EQ(r.u32(), 3U);
-    const auto raw = r.take(blob.size());
-    EXPECT_TRUE(std::equal(raw.begin(), raw.end(), blob.begin()));
-    EXPECT_TRUE(r.exhausted());
-  }
-  expect_no_zombies();
-}
-
-TEST(ShardRunnerTest, UnknownWorkloadIsAStructuredWorkerError) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const exec::ShardFailure failure =
-      expect_failure("test.no_such_workload", test_options(2));
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::worker);
-  EXPECT_NE(failure.detail.find("unknown workload"), std::string::npos);
-  expect_no_zombies();
-}
-
-TEST(ShardRunnerTest, WorkerExceptionCarriesTheMessage) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const exec::ShardFailure failure =
-      expect_failure("test.boom", test_options(2));
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::worker);
-  EXPECT_NE(failure.detail.find("deliberate test explosion"),
-            std::string::npos);
-  expect_no_zombies();
-}
-
-TEST(ShardRunnerTest, BadWorkerBinarySurfacesExecFailure) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  exec::ShardOptions options = test_options(2);
-  options.exe = "/no/such/binary";
-  const exec::ShardFailure failure = expect_failure("test.echo", options);
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::exit_code);
-  EXPECT_EQ(failure.code, 127);
-  expect_no_zombies();
-}
-
-std::atomic<std::uint64_t> g_storm_ticks{0};
-void storm_tick(int) { g_storm_ticks.fetch_add(1, std::memory_order_relaxed); }
-
-TEST(ShardRunnerTest, SurvivesSigalrmStormWithoutSaRestart) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  // Fault injection for the runner's EINTR handling: a no-op SIGALRM
-  // handler installed WITHOUT SA_RESTART interrupts every blocking
-  // syscall in the parent (poll, read, write, waitpid, sigtimedwait in
-  // SigpipeGuard's drain) at ~2 kHz while workers run. Workers are
-  // unaffected: fork clears interval timers and exec resets the handler.
-  struct sigaction storm {};
-  storm.sa_handler = &storm_tick;
-  sigemptyset(&storm.sa_mask);
-  storm.sa_flags = 0;  // deliberately no SA_RESTART
-  struct sigaction old_action {};
-  ASSERT_EQ(sigaction(SIGALRM, &storm, &old_action), 0);
-  itimerval interval{};
-  interval.it_interval.tv_usec = 500;
-  interval.it_value.tv_usec = 500;
-  ASSERT_EQ(setitimer(ITIMER_REAL, &interval, nullptr), 0);
-
-  const std::vector<std::uint8_t> blob{1, 2, 3, 4};
-  std::vector<std::vector<std::uint8_t>> stormy;
-  for (int round = 0; round < 5; ++round) {
-    const exec::ShardRunner runner(test_options(3));
-    stormy = runner.run("test.echo", blob);
-    ASSERT_EQ(stormy.size(), 3U);
-  }
-
-  // Stop the storm before asserting; gtest is not itself EINTR-proof.
-  itimerval off{};
-  setitimer(ITIMER_REAL, &off, nullptr);
-  sigaction(SIGALRM, &old_action, nullptr);
-  EXPECT_GT(g_storm_ticks.load(), 0U) << "storm never fired";
-
-  // The same workload without the storm must be bit-identical.
-  const exec::ShardRunner calm_runner(test_options(3));
-  EXPECT_EQ(stormy, calm_runner.run("test.echo", blob));
-  expect_no_zombies();
-}
-
-TEST(ShardRunnerTest, MergesWorkerObsRegistriesIntoParent) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const exec::ShardRunner runner(test_options(2));
-  static_cast<void>(runner.run("test.echo", {}));
-  obs::set_enabled(false);
-  auto& registry = obs::Registry::global();
-  EXPECT_EQ(registry.counter("exec.shard.runs").value(), 1U);
-  EXPECT_EQ(registry.counter("exec.shard.workers").value(), 2U);
-  // Each worker timed its handler; the merge must carry both recordings.
-  EXPECT_EQ(registry.histogram("exec.shard.worker_ns").count(), 2U);
-  expect_no_zombies();
-}
-
-// --- Determinism: 1 shard == N shards, bit for bit ------------------------
-
-TEST(ShardDeterminism, TrialRecordsAreBitIdenticalAcrossShardCounts) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::SequentialModel model = core::paper::example_model();
-  const core::DemandProfile profile = core::paper::trial_profile();
-  sim::TabularWorld world(model, profile);
-  constexpr std::uint64_t kCases = 20'000;  // 5 batches of 4096
-  constexpr std::uint64_t kSeed = 20030625;
-
-  sim::TrialRunner runner(world, kCases);
-  const sim::TrialData reference = runner.run(kSeed, exec::Config{2});
-  const sim::TrialData one =
-      sim::run_trial_sharded(world, kCases, kSeed, test_options(1));
-  const sim::TrialData three =
-      sim::run_trial_sharded(world, kCases, kSeed, test_options(3));
-
-  ASSERT_EQ(reference.records.size(), kCases);
-  ASSERT_EQ(one.records.size(), kCases);
-  ASSERT_EQ(three.records.size(), kCases);
-  for (std::size_t i = 0; i < kCases; ++i) {
-    const auto& a = reference.records[i];
-    const auto& b = one.records[i];
-    const auto& c = three.records[i];
-    ASSERT_TRUE(a.class_index == b.class_index &&
-                a.machine_failed == b.machine_failed &&
-                a.human_failed == b.human_failed)
-        << "1-shard mismatch at case " << i;
-    ASSERT_TRUE(a.class_index == c.class_index &&
-                a.machine_failed == c.machine_failed &&
-                a.human_failed == c.human_failed)
-        << "3-shard mismatch at case " << i;
-  }
-  expect_no_zombies();
-}
-
-core::TradeoffAnalyzer reference_analyzer() {
-  core::BinormalMachine machine;
-  machine.cancer_class_means = {2.0, 0.8};
-  machine.normal_class_means = {-2.0, -0.5};
-  core::DemandProfile cancers({"easy", "difficult"}, {0.9, 0.1});
-  std::vector<core::HumanFnResponse> fn(2);
-  fn[0] = {0.14, 0.18};
-  fn[1] = {0.4, 0.9};
-  core::DemandProfile normals({"typical", "complex"}, {0.85, 0.15});
-  std::vector<core::HumanFpResponse> fp(2);
-  fp[0] = {0.10, 0.02};
-  fp[1] = {0.35, 0.12};
-  return core::TradeoffAnalyzer(std::move(machine), std::move(cancers),
-                                std::move(fn), std::move(normals),
-                                std::move(fp), 0.01);
-}
-
-TEST(ShardDeterminism, SweepPointsAreBitIdenticalAcrossShardCounts) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  std::vector<double> thresholds(1001);
-  for (std::size_t i = 0; i < thresholds.size(); ++i) {
-    thresholds[i] = -4.0 + 8.0 * static_cast<double>(i) / 1000.0;
-  }
-  const auto reference = analyzer.sweep(thresholds, exec::Config{2});
-  const auto sharded = core::sweep_sharded(analyzer, thresholds,
-                                           test_options(4));
-  ASSERT_EQ(sharded.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(sharded[i].threshold, reference[i].threshold);
-    EXPECT_EQ(sharded[i].system_fn, reference[i].system_fn);
-    EXPECT_EQ(sharded[i].system_fp, reference[i].system_fp);
-    EXPECT_EQ(sharded[i].sensitivity, reference[i].sensitivity);
-    EXPECT_EQ(sharded[i].ppv, reference[i].ppv);
-  }
-  expect_no_zombies();
-}
-
-TEST(ShardDeterminism, SweepHandlesFewerPointsThanShards) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  const std::vector<double> thresholds{-1.0, 0.0, 1.0};
-  const auto reference = analyzer.sweep(thresholds, exec::Config{1});
-  const auto sharded = core::sweep_sharded(analyzer, thresholds,
-                                           test_options(8));
-  ASSERT_EQ(sharded.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    EXPECT_EQ(sharded[i].system_fn, reference[i].system_fn);
-  }
-  expect_no_zombies();
-}
-
-TEST(ShardDeterminism, MinimiseCostMatchesInProcessGridSearch) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  const auto reference =
-      analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 2001, exec::Config{2});
-  const auto sharded = core::minimise_cost_sharded(
-      analyzer, 500.0, 20.0, -4.0, 4.0, 2001, test_options(3));
-  EXPECT_EQ(sharded.threshold, reference.threshold);
-  EXPECT_EQ(sharded.system_fn, reference.system_fn);
-  EXPECT_EQ(sharded.system_fp, reference.system_fp);
-  expect_no_zombies();
-}
-
-TEST(ShardDeterminism, MinimiseCostTiesResolveToEarliestGridPoint) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  // Zero costs make the objective a flat plateau: every grid point ties at
-  // cost 0, so the earliest-grid-point rule must pick the very first
-  // threshold — in every shard layout, not just in-process.
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  const auto reference =
-      analyzer.minimise_cost(0.0, 0.0, -4.0, 4.0, 999, exec::Config{2});
-  EXPECT_EQ(reference.threshold, -4.0);
-  for (const unsigned shards : {2u, 4u, 7u}) {
-    const auto sharded = core::minimise_cost_sharded(
-        analyzer, 0.0, 0.0, -4.0, 4.0, 999, test_options(shards));
-    EXPECT_EQ(sharded.threshold, reference.threshold)
-        << "shards: " << shards;
-  }
-  expect_no_zombies();
-}
-
-core::PosteriorModelSampler paper_sampler() {
-  core::ClassCounts easy;
-  easy.cases = 800;
-  easy.machine_failures = 56;
-  easy.human_failures_given_machine_failed = 28;
-  easy.human_failures_given_machine_succeeded = 40;
-  core::ClassCounts difficult;
-  difficult.cases = 200;
-  difficult.machine_failures = 82;
-  difficult.human_failures_given_machine_failed = 74;
-  difficult.human_failures_given_machine_succeeded = 30;
-  return core::PosteriorModelSampler({"easy", "difficult"},
-                                     {easy, difficult});
-}
-
-TEST(ShardDeterminism, PosteriorDrawsAreBitIdenticalAcrossShardCounts) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::PosteriorModelSampler sampler = paper_sampler();
-  const core::DemandProfile field = core::paper::field_profile();
-  constexpr std::size_t kDraws = 1500;  // 3 chunks of 512, last one ragged
-
-  std::vector<double> reference(kDraws);
-  stats::Rng reference_rng(42);
-  sampler.sample_failure_probabilities(field, reference_rng, reference,
-                                       exec::Config{2});
-
-  std::vector<double> sharded(kDraws);
-  stats::Rng sharded_rng(42);
-  core::sample_failure_probabilities_sharded(sampler, field, sharded_rng,
-                                             sharded, test_options(3));
-
-  for (std::size_t i = 0; i < kDraws; ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(sharded[i]),
-              std::bit_cast<std::uint64_t>(reference[i]))
-        << "draw " << i;
-  }
-  // Both paths consume exactly one step of the caller's rng.
-  EXPECT_EQ(reference_rng.next_u64(), sharded_rng.next_u64());
-  expect_no_zombies();
-}
-
-TEST(ShardDeterminism, PredictShardedMatchesInProcessPredict) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  const core::PosteriorModelSampler sampler = paper_sampler();
-  const core::DemandProfile field = core::paper::field_profile();
-  stats::Rng reference_rng(11);
-  const auto reference =
-      sampler.predict(field, reference_rng, 1024, 0.95, exec::Config{2});
-  stats::Rng sharded_rng(11);
-  const auto sharded = core::predict_sharded(sampler, field, sharded_rng,
-                                             1024, 0.95, test_options(2));
-  EXPECT_EQ(sharded.mean, reference.mean);
-  EXPECT_EQ(sharded.lower, reference.lower);
-  EXPECT_EQ(sharded.upper, reference.upper);
-  expect_no_zombies();
-}
-
-// --- Fault injection ------------------------------------------------------
-
-TEST(ShardFault, SigkilledWorkerSurfacesAsSignalFailure) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  EnvGuard guard("HMDIV_SHARD_FAULT", "sigkill:1");
-  const exec::ShardFailure failure =
-      expect_failure("test.echo", test_options(3));
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::signal);
-  EXPECT_EQ(failure.code, SIGKILL);
-  EXPECT_EQ(failure.shard, 1U);
-  expect_no_zombies();
-}
-
-TEST(ShardFault, ShortWriteSurfacesAsTruncatedStream) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  EnvGuard guard("HMDIV_SHARD_FAULT", "shortwrite:0");
-  const exec::ShardFailure failure =
-      expect_failure("test.echo", test_options(2));
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::truncated);
-  EXPECT_EQ(failure.shard, 0U);
-  expect_no_zombies();
-}
-
-TEST(ShardFault, HangingWorkerHitsTheDeadlineNotForever) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  EnvGuard guard("HMDIV_SHARD_FAULT", "hang:0");
-  const auto start = std::chrono::steady_clock::now();
-  const exec::ShardFailure failure = expect_failure(
-      "test.echo", test_options(2, std::chrono::milliseconds(2'000)));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::timeout);
-  EXPECT_EQ(failure.shard, 0U);
-  EXPECT_LT(elapsed, std::chrono::seconds(30)) << "runner must not hang";
-  expect_no_zombies();
-}
-
-TEST(ShardFault, NonzeroExitSurfacesAsExitCodeFailure) {
-  HMDIV_SKIP_FORK_UNDER_TSAN();
-  EnvGuard guard("HMDIV_SHARD_FAULT", "exit:1");
-  const exec::ShardFailure failure =
-      expect_failure("test.echo", test_options(2));
-  EXPECT_EQ(failure.kind, exec::ShardFailure::Kind::exit_code);
-  EXPECT_EQ(failure.code, 7);
-  EXPECT_EQ(failure.shard, 1U);
-  expect_no_zombies();
-}
-
-TEST(ShardFault, FailureKindsHaveStableNames) {
-  EXPECT_EQ(exec::to_string(exec::ShardFailure::Kind::signal), "signal");
-  EXPECT_EQ(exec::to_string(exec::ShardFailure::Kind::truncated),
-            "truncated");
-  EXPECT_EQ(exec::to_string(exec::ShardFailure::Kind::timeout), "timeout");
-  EXPECT_EQ(exec::to_string(exec::ShardFailure::Kind::worker), "worker");
 }
 
 }  // namespace
