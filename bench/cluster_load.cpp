@@ -3,13 +3,12 @@
 //
 // Spawns 1/2/4 loopback `hmdiv_serve --example` daemons, then runs the
 // two grid-heavy clustered workloads — a core.sweep threshold sweep and a
-// core.uq.sample posterior draw — through exec::ClusterRunner at
-// shards == workers, one compute thread per worker, against a
-// single-thread in-process baseline. Every clustered result is compared
-// bit-for-bit against the baseline (the correctness gate: the exit code
-// is non-zero only on a mismatch or a transport failure, never on a
-// missed speedup target). Wall times and speedups land in
-// BENCH_pr9_cluster.json (or --out).
+// core.uq.sample posterior draw — through exec::ClusterRunner with one
+// compute thread per worker, against a single-thread in-process baseline.
+// Every clustered result is compared bit-for-bit against the baseline
+// (the correctness gate: the exit code is non-zero only on a mismatch or
+// a transport failure, never on a missed speedup target). Wall times and
+// speedups land in BENCH_pr9_cluster.json (or --out).
 //
 // On a multi-core box the daemons genuinely run in parallel and 4 workers
 // should clear ~2x over in-process single-thread; on a one-core CI box
@@ -263,7 +262,6 @@ int main(int argc, char** argv) {
     try {
       exec::ClusterOptions options;
       options.workers = addresses;
-      options.shards = workers;
       options.threads = 1;
       exec::ClusterRunner cluster(std::move(options));
 
@@ -305,7 +303,6 @@ int main(int argc, char** argv) {
     const double total = cell.sweep_ms + cell.uq_ms;
     if (i != 0) json += ',';
     json += "{\"workers\":" + std::to_string(cell.workers) +
-            ",\"shards\":" + std::to_string(cell.workers) +
             ",\"sweep_ms\":" + std::to_string(cell.sweep_ms) +
             ",\"uq_ms\":" + std::to_string(cell.uq_ms) +
             ",\"speedup_vs_inprocess\":" +

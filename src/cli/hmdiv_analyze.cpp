@@ -58,7 +58,7 @@ using namespace hmdiv;
       << "usage: hmdiv_analyze --model FILE --trial FILE --field FILE\n"
          "                     [--improve CLASS=FACTOR]... [--text]\n"
          "                     [--no-advice] [--threads N]\n"
-         "                     [--workers HOST:PORT,...] [--window N]\n"
+         "                     [--workers HOST:PORT,...]\n"
          "                     [--profile] [--profile-csv FILE]\n"
          "                     [--grid-steps N] [--samples N]\n"
          "       hmdiv_analyze --example [--text]\n"
@@ -70,9 +70,6 @@ using namespace hmdiv;
          "remote hmdiv_serve daemons via their shard endpoint; --threads\n"
          "is then the per-task budget on each worker. Results remain\n"
          "bit-identical to the in-process run.\n"
-         "--window N keeps up to N tasks in flight per worker connection\n"
-         "(pipelining depth, default 4, range [1, 64]); 1 restores strict\n"
-         "request/reply lockstep. Output is identical at any depth.\n"
          "--profile runs a Monte-Carlo validation workload (simulated\n"
          "trial, bootstrap interval, threshold sweep) and prints the\n"
          "observability registry; --profile-csv FILE writes it as CSV.\n"
@@ -146,8 +143,7 @@ void run_profiling_workload(const core::SequentialModel& model,
                             const core::DemandProfile& trial,
                             const core::DemandProfile& field, bool markdown,
                             std::size_t grid_steps, std::size_t samples,
-                            const std::vector<std::string>& workers,
-                            unsigned window) {
+                            const std::vector<std::string>& workers) {
   exec::Config config = exec::default_config();
   if (config.resolved_threads() < 2) config = exec::Config{2};
   std::optional<exec::ClusterRunner> cluster;
@@ -155,7 +151,6 @@ void run_profiling_workload(const core::SequentialModel& model,
     exec::ClusterOptions copts;
     copts.workers = workers;
     copts.threads = config.threads;
-    copts.window = window;
     cluster.emplace(std::move(copts));
   }
 
@@ -255,7 +250,6 @@ int main(int argc, char** argv) {
   std::size_t grid_steps = 20'000;
   std::size_t samples = 500;
   std::vector<std::string> workers;
-  unsigned window = 4;
   std::optional<std::string> profile_csv_path;
   core::ReportOptions options;
 
@@ -307,9 +301,6 @@ int main(int argc, char** argv) {
         workers.push_back(element);
         start = comma + 1;
       }
-    } else if (arg == "--window") {
-      window = static_cast<unsigned>(cli::parse_bounded_ulong(
-          "hmdiv_analyze", "--window", next(), 1, 64));
     } else if (arg == "--grid-steps") {
       // < 2 cannot form a grid; > 5'000'000 is a typo, not a workload.
       grid_steps = static_cast<std::size_t>(cli::parse_bounded_ulong(
@@ -373,7 +364,7 @@ int main(int argc, char** argv) {
 
     if (profile) {
       run_profiling_workload(model, trial, field, options.markdown,
-                             grid_steps, samples, workers, window);
+                             grid_steps, samples, workers);
       const obs::Snapshot snapshot = obs::registry_snapshot();
       std::cout << (options.markdown ? "## Profile (obs registry)\n\n"
                                      : "== Profile (obs registry) ==\n\n")

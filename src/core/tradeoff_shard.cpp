@@ -130,8 +130,8 @@ std::vector<std::uint8_t> handle_sweep_shard(
     throw exec::wire::ProtocolError("core.sweep blob: trailing bytes");
   }
   check_grid("core.sweep", thresholds.size());
-  const exec::wire::ShardRange range =
-      exec::wire::task_range(thresholds.size(), task);
+  const exec::wire::ShardRange range = exec::wire::shard_range(
+      thresholds.size(), task.shard_index, task.shard_count);
   std::vector<SystemOperatingPoint> points(
       static_cast<std::size_t>(range.size()));
   analyzer.sweep_into(
@@ -162,7 +162,8 @@ std::vector<std::uint8_t> handle_minimise_shard(
     throw exec::wire::ProtocolError("core.minimise blob: trailing bytes");
   }
   check_grid("core.minimise", steps);
-  const exec::wire::ShardRange range = exec::wire::task_range(steps, task);
+  const exec::wire::ShardRange range =
+      exec::wire::shard_range(steps, task.shard_index, task.shard_count);
   const CostedOperatingPoint best = analyzer.minimise_cost_range(
       cost_fn, cost_fp, lo, hi, static_cast<std::size_t>(steps),
       static_cast<std::size_t>(range.begin),

@@ -3,7 +3,7 @@
 // Two shard workloads over the same serialized TradeoffAnalyzer:
 //
 //   "core.sweep"    — partition the threshold grid's index space; workers
-//                     sweep their wire::task_range slice with the batched
+//                     sweep their wire::shard_range slice with the batched
 //                     kernel and ship the operating points back as bit
 //                     patterns. evaluate_batch is bit-identical to the
 //                     scalar evaluate() at any batch boundary, so the

@@ -90,8 +90,9 @@ UqShardConfig decode_blob(std::span<const std::uint8_t> blob) {
 std::vector<std::uint8_t> handle_uq_shard(const exec::wire::ShardTask& task) {
   const UqShardConfig config = decode_blob(task.blob);
   const std::size_t total = static_cast<std::size_t>(config.total_draws);
-  const exec::wire::ShardRange range = exec::wire::task_range(
-      PosteriorModelSampler::draw_chunk_count(total), task);
+  const exec::wire::ShardRange range =
+      exec::wire::shard_range(PosteriorModelSampler::draw_chunk_count(total),
+                              task.shard_index, task.shard_count);
   const std::size_t begin = static_cast<std::size_t>(range.begin) *
                             PosteriorModelSampler::kDrawChunk;
   const std::size_t end =

@@ -6,7 +6,7 @@
 // substream base — the same step the in-process engine consumes — and
 // each worker rebuilds the sampler from the integer trial counts (bit-
 // identical Beta preps) plus the from_normalised profile, then fills its
-// wire::task_range slice of chunks. Concatenated in ascending shard
+// wire::shard_range slice of chunks. Concatenated in ascending shard
 // order, the draws equal the single-process sample_failure_probabilities
 // output bit-for-bit.
 #pragma once

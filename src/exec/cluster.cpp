@@ -9,10 +9,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <cstring>
 #include <deque>
-#include <mutex>
 #include <utility>
 
 #include "exec/cluster_protocol.hpp"
@@ -26,17 +24,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// --- Process-global worker stats (metrics endpoint) -----------------------
+/// Tasks kept in flight per connection (pipelining depth): the next
+/// tasks' bytes are on the wire while the worker computes the current one.
+constexpr std::size_t kWindow = 4;
 
-std::mutex& stats_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-std::vector<ClusterWorkerStats>& stats_store() {
-  static std::vector<ClusterWorkerStats> store;
-  return store;
-}
+/// Micro-shards per worker. Small tasks keep a sidelined worker's requeue
+/// and a slow worker's tail short.
+constexpr std::uint64_t kShardsPerWorker = 16;
 
 // --- Socket helpers -------------------------------------------------------
 
@@ -53,6 +47,10 @@ std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
           .count());
+}
+
+bool transient(int error) noexcept {
+  return error == EAGAIN || error == EWOULDBLOCK || error == EINTR;
 }
 
 /// Splits "host:port" / "[v6]:port" into its pieces; false when the shape
@@ -80,6 +78,14 @@ bool split_address(const std::string& address, std::string& host,
 
 }  // namespace
 
+std::uint32_t cluster_shard_count(std::uint64_t items,
+                                  std::size_t workers) noexcept {
+  const std::uint64_t grain =
+      std::min<std::uint64_t>(workers, wire::kMaxShards) * kShardsPerWorker;
+  return static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+      std::min(items, grain), 1, wire::kMaxShards));
+}
+
 // --- Per-worker connection state ------------------------------------------
 
 struct ClusterRunner::Conn {
@@ -97,10 +103,9 @@ struct ClusterRunner::Conn {
   std::string upgrade_line;
 
   // Pipelined task window, FIFO: the worker replies to tasks in dispatch
-  // order, each reply terminated by a done frame naming its task id.
+  // order, each reply terminated by a done frame naming its shard.
   struct Inflight {
-    std::uint32_t id = 0;  ///< span-start micro-shard == task id
-    std::uint32_t span = 1;
+    std::uint32_t shard = 0;
     Clock::time_point dispatched{};
   };
   std::deque<Inflight> inflight;
@@ -119,13 +124,6 @@ struct ClusterRunner::Conn {
   /// True once this connection shipped the run's blob inline; follow-up
   /// tasks set blob_cached and ride the worker session's cache.
   bool blob_sent = false;
-
-  // Adaptive sizing: EWMA of per-micro-shard service time. Persists
-  // across runs on a warm connection (worker speed is a property of the
-  // host, not the workload partition).
-  double ewma_ns_per_shard = 0;  ///< 0 = no sample yet
-  Clock::time_point last_complete{};
-  std::uint64_t dispatched_micro = 0;  ///< micro-shards sent this run
 
   // Re-admission: one probe per run after the backoff.
   bool readmit_armed = false;
@@ -153,13 +151,534 @@ struct ClusterRunner::Conn {
   }
 };
 
+// --- One run: shared state and the steps that advance it ------------------
+
+/// Everything one run() call owns; the steps below share it. The
+/// connections (warm fds, cumulative stats) outlive it.
+struct ClusterRunner::RunState {
+  RunState(const ClusterOptions& options, std::vector<Conn>& conns,
+           std::string_view workload, std::span<const std::uint8_t> blob,
+           std::uint64_t items);
+
+  // connect
+  void start_connect(Conn& conn);
+  void enter_upgrade(Conn& conn);
+  void finish_connect(Conn& conn, short revents);
+  void upgrade(Conn& conn, short revents);
+  void finish_upgrade(Conn& conn, std::size_t newline);
+  // dispatch
+  void fill_windows();
+  void dispatch(std::size_t index);
+  // receive
+  void poll_once();
+  void pump(Conn& conn, short revents);
+  bool send_tasks(Conn& conn, short revents);
+  bool receive(Conn& conn);
+  bool process_frames(Conn& conn);
+  void complete_head(Conn& conn);
+  // requeue and readmit
+  void sideline(Conn& conn, const std::string& why);
+  void readmit_due();
+
+  const ClusterOptions& options;
+  std::vector<Conn>& conns;
+  std::string_view workload;
+  std::span<const std::uint8_t> blob;
+  std::uint32_t shards = 1;
+  std::uint32_t threads = 1;
+  bool ship_obs = false;
+  /// Micro-shards not yet dispatched, in dispatch order. A sidelined
+  /// worker's in-flight shards requeue at the front (oldest first), so
+  /// coverage of [0, shards) is exact on every path.
+  std::deque<std::uint32_t> pending;
+  /// One result payload per micro-shard, indexed by shard.
+  std::vector<std::vector<std::uint8_t>> payloads;
+  /// Connection that last took each shard; conns.size() when none has.
+  std::vector<std::size_t> last_conn;
+  std::uint32_t completed = 0;
+  std::string last_failure = "no worker reachable";
+  std::uint8_t buffer[1 << 16];
+};
+
+ClusterRunner::RunState::RunState(const ClusterOptions& run_options,
+                                  std::vector<Conn>& run_conns,
+                                  std::string_view run_workload,
+                                  std::span<const std::uint8_t> run_blob,
+                                  std::uint64_t items)
+    : options(run_options),
+      conns(run_conns),
+      workload(run_workload),
+      blob(run_blob),
+      shards(cluster_shard_count(items, run_conns.size())),
+      threads(run_options.threads ? run_options.threads
+                                  : default_config().threads),
+      ship_obs(obs::enabled()),
+      payloads(shards),
+      last_conn(shards, run_conns.size()) {
+  for (std::uint32_t s = 0; s < shards; ++s) pending.push_back(s);
+  // Health, blob shipping and re-admission are per run; warm fds and
+  // cumulative stats persist across runs.
+  for (Conn& conn : conns) {
+    conn.healthy = !conn.host.empty();
+    conn.blob_sent = false;
+    conn.readmit_armed = false;
+    conn.probing = false;
+    conn.readmitted_this_run = false;
+  }
+}
+
+// Drops a worker: the frame stream cannot be resynced, so the fd closes,
+// every in-flight shard goes back to the front of the queue in dispatch
+// order, and — once per run — a re-probe is scheduled after the backoff.
+void ClusterRunner::RunState::sideline(Conn& conn, const std::string& why) {
+  conn.stats.last_error = why;
+  last_failure = conn.stats.address + ": " + why;
+  if (!conn.inflight.empty()) {
+    conn.stats.retries += conn.inflight.size();
+    HMDIV_OBS_COUNT("exec.cluster.retries", conn.inflight.size());
+    for (auto it = conn.inflight.rbegin(); it != conn.inflight.rend(); ++it) {
+      pending.push_front(it->shard);
+    }
+  }
+  conn.close_fd();
+  conn.healthy = false;
+  if (options.readmit_after.count() > 0 && !conn.readmitted_this_run) {
+    conn.readmit_armed = true;
+    conn.readmit_at = Clock::now() + options.readmit_after;
+  }
+}
+
+void ClusterRunner::RunState::readmit_due() {
+  for (Conn& conn : conns) {
+    if (conn.readmit_armed && Clock::now() >= conn.readmit_at) {
+      conn.readmit_armed = false;
+      conn.readmitted_this_run = true;
+      conn.probing = true;
+      conn.healthy = true;
+      start_connect(conn);
+    }
+  }
+}
+
+// Kicks off a non-blocking connect; the poll loop finishes it. All startup
+// connects launch together, so startup cost is the slowest worker's
+// handshake, not the sum.
+void ClusterRunner::RunState::start_connect(Conn& conn) {
+  addrinfo hints{};
+  hints.ai_family = AF_UNSPEC;
+  hints.ai_socktype = SOCK_STREAM;
+  hints.ai_flags = AI_NUMERICSERV;
+  addrinfo* list = nullptr;
+  const int rc =
+      ::getaddrinfo(conn.host.c_str(), conn.port.c_str(), &hints, &list);
+  if (rc != 0) {
+    sideline(conn, std::string("resolve failed: ") + ::gai_strerror(rc));
+    return;
+  }
+  int fd = -1;
+  int last_errno = ECONNREFUSED;
+  bool in_progress = false;
+  for (addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
+    fd = ::socket(ai->ai_family, ai->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
+                  ai->ai_protocol);
+    if (fd < 0) {
+      last_errno = errno;
+      continue;
+    }
+    if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
+    if (errno == EINPROGRESS) {
+      in_progress = true;
+      break;
+    }
+    last_errno = errno;
+    ::close(fd);
+    fd = -1;
+  }
+  ::freeaddrinfo(list);
+  if (fd < 0) {
+    sideline(conn,
+             std::string("connect failed: ") + std::strerror(last_errno));
+    return;
+  }
+  conn.fd = fd;
+  if (in_progress) {
+    conn.state = Conn::State::connecting;
+    conn.conn_deadline = Clock::now() + options.connect_timeout;
+  } else {
+    enter_upgrade(conn);
+  }
+}
+
+void ClusterRunner::RunState::enter_upgrade(Conn& conn) {
+  conn.state = Conn::State::upgrading;
+  conn.upgrade_sent = 0;
+  conn.upgrade_line.clear();
+  conn.conn_deadline = Clock::now() + options.connect_timeout;
+  const int one = 1;
+  ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+}
+
+void ClusterRunner::RunState::finish_connect(Conn& conn, short revents) {
+  if (revents == 0) {
+    if (Clock::now() >= conn.conn_deadline) {
+      sideline(conn, "connect timed out");
+    }
+    return;
+  }
+  int so_error = 0;
+  socklen_t len = sizeof so_error;
+  if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+    so_error = errno;
+  }
+  if (so_error != 0) {
+    sideline(conn, std::string("connect failed: ") + std::strerror(so_error));
+  } else {
+    enter_upgrade(conn);
+  }
+}
+
+// Sends the upgrade line and reads the daemon's one-line answer.
+void ClusterRunner::RunState::upgrade(Conn& conn, short revents) {
+  if ((revents & POLLOUT) != 0 &&
+      conn.upgrade_sent < kShardUpgradeLine.size()) {
+    const ssize_t n =
+        ::send(conn.fd, kShardUpgradeLine.data() + conn.upgrade_sent,
+               kShardUpgradeLine.size() - conn.upgrade_sent, MSG_NOSIGNAL);
+    if (n >= 0) {
+      conn.upgrade_sent += static_cast<std::size_t>(n);
+    } else if (!transient(errno)) {
+      sideline(conn, "upgrade send failed");
+      return;
+    }
+  }
+  if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+    const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
+    if (n > 0) {
+      conn.upgrade_line.append(reinterpret_cast<const char*>(buffer),
+                               static_cast<std::size_t>(n));
+      const std::size_t newline = conn.upgrade_line.find('\n');
+      if (newline != std::string::npos) {
+        finish_upgrade(conn, newline);
+      } else if (conn.upgrade_line.size() > 4096) {
+        sideline(conn, "oversized upgrade response");
+      }
+    } else if (n == 0) {
+      sideline(conn, "closed during upgrade");
+    } else if (!transient(errno)) {
+      sideline(conn,
+               std::string("upgrade read failed: ") + std::strerror(errno));
+    }
+  }
+  if (conn.state == Conn::State::upgrading &&
+      Clock::now() >= conn.conn_deadline) {
+    sideline(conn, "upgrade timed out");
+  }
+}
+
+void ClusterRunner::RunState::finish_upgrade(Conn& conn,
+                                             std::size_t newline) {
+  const std::size_t ok = conn.upgrade_line.find("\"ok\":true");
+  if (ok == std::string::npos || ok > newline) {
+    sideline(conn,
+             "upgrade rejected: " + conn.upgrade_line.substr(0, newline));
+    return;
+  }
+  // Trailing bytes already belong to the frame stream (none with a
+  // well-behaved worker, but the parser owns them either way).
+  const std::size_t extra = conn.upgrade_line.size() - newline - 1;
+  if (extra > 0) {
+    conn.parser.feed(std::span<const std::uint8_t>(
+        reinterpret_cast<const std::uint8_t*>(conn.upgrade_line.data()) +
+            newline + 1,
+        extra));
+  }
+  conn.upgrade_line.clear();
+  conn.state = Conn::State::ready;
+  if (conn.probing) {
+    conn.probing = false;
+    conn.stats.readmitted += 1;
+    HMDIV_OBS_COUNT("exec.cluster.readmitted", 1);
+  }
+}
+
+// Hands queued shards out one at a time, each to the ready, healthy
+// connection with the shallowest window, until the queue is empty or
+// every window is full.
+void ClusterRunner::RunState::fill_windows() {
+  while (!pending.empty()) {
+    std::size_t best = conns.size();
+    for (std::size_t i = 0; i < conns.size(); ++i) {
+      const Conn& conn = conns[i];
+      if (!conn.healthy || conn.state != Conn::State::ready ||
+          conn.inflight.size() >= kWindow) {
+        continue;
+      }
+      if (best == conns.size() ||
+          conn.inflight.size() < conns[best].inflight.size()) {
+        best = i;
+      }
+    }
+    if (best == conns.size()) return;
+    dispatch(best);
+  }
+}
+
+void ClusterRunner::RunState::dispatch(std::size_t index) {
+  Conn& conn = conns[index];
+  const std::uint32_t shard = pending.front();
+  pending.pop_front();
+  if (last_conn[shard] < conns.size() && last_conn[shard] != index) {
+    HMDIV_OBS_COUNT("exec.cluster.reassigned", 1);
+  }
+  last_conn[shard] = index;
+  wire::ShardTask task;
+  task.workload = std::string(workload);
+  task.shard_index = shard;
+  task.shard_count = shards;
+  task.threads = threads;
+  task.obs_enabled = ship_obs;
+  task.blob_cached = conn.blob_sent;
+  if (!conn.blob_sent) {
+    task.blob.assign(blob.begin(), blob.end());
+    conn.blob_sent = true;
+  }
+  wire::append_frame(conn.send_buf, wire::FrameType::task,
+                     wire::serialize_task(task));
+  const auto now = Clock::now();
+  conn.inflight.push_back(Conn::Inflight{shard, now});
+  if (conn.inflight.size() == 1) {
+    conn.head_deadline = now + options.task_deadline;
+  }
+}
+
+// Waits for the next socket event on any live connection (or the next
+// re-probe) and hands each ready connection to the step its state needs.
+void ClusterRunner::RunState::poll_once() {
+  std::vector<pollfd> fds;
+  std::vector<std::size_t> owner;
+  int timeout = 60'000;
+  bool readmit_pending = false;
+  for (std::size_t i = 0; i < conns.size(); ++i) {
+    const Conn& conn = conns[i];
+    if (conn.readmit_armed) {
+      readmit_pending = true;
+      timeout = std::min(timeout, remaining_ms(conn.readmit_at));
+    }
+    if (!conn.healthy) continue;
+    short events = 0;
+    switch (conn.state) {
+      case Conn::State::closed:
+        continue;
+      case Conn::State::connecting:
+        events = POLLOUT;
+        timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
+        break;
+      case Conn::State::upgrading:
+        events = POLLIN;
+        if (conn.upgrade_sent < kShardUpgradeLine.size()) events |= POLLOUT;
+        timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
+        break;
+      case Conn::State::ready:
+        if (conn.inflight.empty() && conn.sent >= conn.send_buf.size()) {
+          continue;  // idle warm connection: nothing expected
+        }
+        events = POLLIN;
+        if (conn.sent < conn.send_buf.size()) events |= POLLOUT;
+        if (!conn.inflight.empty()) {
+          timeout = std::min(timeout, remaining_ms(conn.head_deadline));
+        }
+        break;
+    }
+    fds.push_back(pollfd{conn.fd, events, 0});
+    owner.push_back(i);
+  }
+  if (fds.empty()) {
+    if (readmit_pending) {
+      // Every worker is sidelined but a re-probe is scheduled: sleep out
+      // the shortest backoff instead of giving up.
+      if (timeout > 0) ::poll(nullptr, 0, timeout);
+      return;
+    }
+    throw ClusterError("cluster: no healthy workers remain (" +
+                       std::to_string(shards - completed) +
+                       " micro-shards unfinished; last failure: " +
+                       last_failure + ")");
+  }
+  if (::poll(fds.data(), fds.size(), timeout) < 0 && errno != EINTR) {
+    throw ClusterError(std::string("cluster: poll failed: ") +
+                       std::strerror(errno));
+  }
+  for (std::size_t i = 0; i < fds.size(); ++i) {
+    Conn& conn = conns[owner[i]];
+    if (!conn.healthy) continue;
+    switch (conn.state) {
+      case Conn::State::closed:
+        break;
+      case Conn::State::connecting:
+        finish_connect(conn, fds[i].revents);
+        break;
+      case Conn::State::upgrading:
+        upgrade(conn, fds[i].revents);
+        break;
+      case Conn::State::ready:
+        pump(conn, fds[i].revents);
+        break;
+    }
+  }
+}
+
+// A ready connection: pump pipelined task bytes out, drain reply frames
+// in, then enforce the head task's deadline.
+void ClusterRunner::RunState::pump(Conn& conn, short revents) {
+  if (!send_tasks(conn, revents)) return;
+  if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0 &&
+      !receive(conn)) {
+    return;
+  }
+  if (!conn.inflight.empty() && Clock::now() >= conn.head_deadline) {
+    sideline(conn, "task deadline expired");
+  }
+}
+
+// False when the connection was sidelined.
+bool ClusterRunner::RunState::send_tasks(Conn& conn, short revents) {
+  if ((revents & POLLOUT) == 0 || conn.sent >= conn.send_buf.size()) {
+    return true;
+  }
+  const ssize_t n = ::send(conn.fd, conn.send_buf.data() + conn.sent,
+                           conn.send_buf.size() - conn.sent, MSG_NOSIGNAL);
+  if (n < 0) {
+    if (transient(errno)) return true;
+    sideline(conn, std::string("task send failed: ") + std::strerror(errno));
+    return false;
+  }
+  conn.sent += static_cast<std::size_t>(n);
+  conn.stats.bytes_out += static_cast<std::uint64_t>(n);
+  HMDIV_OBS_COUNT("exec.cluster.bytes_out", n);
+  if (conn.sent == conn.send_buf.size()) {
+    conn.send_buf.clear();
+    conn.sent = 0;
+  }
+  return true;
+}
+
+// False when the connection was sidelined.
+bool ClusterRunner::RunState::receive(Conn& conn) {
+  const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
+  if (n < 0) {
+    if (transient(errno)) return true;
+    sideline(conn, std::string("reply read failed: ") + std::strerror(errno));
+    return false;
+  }
+  if (n == 0) {
+    sideline(conn, "connection closed by worker");
+    return false;
+  }
+  conn.stats.bytes_in += static_cast<std::uint64_t>(n);
+  HMDIV_OBS_COUNT("exec.cluster.bytes_in", n);
+  conn.parser.feed({buffer, static_cast<std::size_t>(n)});
+  try {
+    return process_frames(conn);
+  } catch (const wire::ProtocolError& e) {
+    sideline(conn, std::string("protocol error: ") + e.what());
+    return false;
+  }
+}
+
+// Drains every parsed frame; false when the connection was sidelined.
+// Throws ClusterError on structured worker errors (deterministic failures
+// reassignment cannot fix) — run() lets those abort.
+bool ClusterRunner::RunState::process_frames(Conn& conn) {
+  while (auto frame = conn.parser.next()) {
+    switch (frame->type) {
+      case wire::FrameType::result:
+        if (conn.inflight.empty() || conn.have_payload) {
+          sideline(conn, "unexpected result frame");
+          return false;
+        }
+        conn.cur_payload = std::move(frame->payload);
+        conn.have_payload = true;
+        break;
+      case wire::FrameType::obs:
+        if (conn.inflight.empty()) {
+          sideline(conn, "unexpected obs frame");
+          return false;
+        }
+        conn.cur_obs.push_back(std::move(frame->payload));
+        break;
+      case wire::FrameType::error: {
+        std::string message = "worker error";
+        try {
+          wire::Reader reader(frame->payload);
+          message = reader.str();
+        } catch (const wire::ProtocolError&) {
+        }
+        conn.stats.last_error = message;
+        throw ClusterError("cluster: " + conn.stats.address + ": " +
+                           message);
+      }
+      case wire::FrameType::done: {
+        std::uint32_t id = 0;
+        try {
+          id = wire::parse_done(frame->payload);
+        } catch (const wire::ProtocolError& e) {
+          sideline(conn, std::string("bad done frame: ") + e.what());
+          return false;
+        }
+        if (conn.inflight.empty() || id != conn.inflight.front().shard ||
+            !conn.have_payload) {
+          sideline(conn, "done frame out of order (task " +
+                             std::to_string(id) + ")");
+          return false;
+        }
+        complete_head(conn);
+        break;
+      }
+      case wire::FrameType::task:
+        sideline(conn, "unexpected task frame from worker");
+        return false;
+    }
+  }
+  return true;
+}
+
+void ClusterRunner::RunState::complete_head(Conn& conn) {
+  const Conn::Inflight head = conn.inflight.front();
+  conn.inflight.pop_front();
+  for (std::vector<std::uint8_t>& snapshot : conn.cur_obs) {
+    try {
+      obs::Registry::global().merge(obs::parse_snapshot(snapshot));
+    } catch (const std::exception& e) {
+      throw ClusterError("cluster: " + conn.stats.address +
+                         ": bad obs frame: " + e.what());
+    }
+  }
+  conn.cur_obs.clear();
+  payloads[head.shard] = std::move(conn.cur_payload);
+  conn.cur_payload = std::vector<std::uint8_t>{};
+  conn.have_payload = false;
+  completed += 1;
+  conn.stats.tasks += 1;
+  HMDIV_OBS_COUNT("exec.cluster.tasks", 1);
+  const auto now = Clock::now();
+  if (obs::enabled()) {
+    obs::Registry::global()
+        .histogram("exec.cluster.rpc_ns")
+        .record(elapsed_ns(head.dispatched, now));
+  }
+  if (!conn.inflight.empty()) {
+    conn.head_deadline = now + options.task_deadline;
+  }
+}
+
+// --- ClusterRunner ----------------------------------------------------------
+
 ClusterRunner::ClusterRunner(ClusterOptions options)
     : options_(std::move(options)) {
   conns_.reserve(options_.workers.size());
   for (const std::string& address : options_.workers) {
     Conn conn;
     conn.stats.address = address;
-    conn.stats.window = std::max(1u, options_.window);
     if (!split_address(address, conn.host, conn.port)) {
       conn.healthy = false;
       conn.stats.last_error = "malformed worker address";
@@ -172,13 +691,6 @@ ClusterRunner::~ClusterRunner() {
   for (Conn& conn : conns_) conn.close_fd();
 }
 
-unsigned ClusterRunner::resolved_shards() const noexcept {
-  unsigned shards = options_.shards;
-  if (shards == 0) shards = static_cast<unsigned>(conns_.size());
-  if (shards == 0) shards = 1;
-  return shards > wire::kMaxShards ? wire::kMaxShards : shards;
-}
-
 std::vector<ClusterWorkerStats> ClusterRunner::worker_stats() const {
   std::vector<ClusterWorkerStats> out;
   out.reserve(conns_.size());
@@ -188,605 +700,23 @@ std::vector<ClusterWorkerStats> ClusterRunner::worker_stats() const {
 
 std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     std::string_view workload, std::span<const std::uint8_t> blob,
-    std::uint64_t items_hint) {
+    std::uint64_t items) {
   if (conns_.empty()) {
     throw ClusterError("cluster: no workers configured");
   }
-  const unsigned window = std::max(1u, options_.window);
-  unsigned shards = resolved_shards();
-  if (options_.shards == 0 && items_hint > 0) {
-    // Adaptive micro-shard count: enough small tasks that every worker's
-    // window refills several times (so the EWMA sizing has room to act),
-    // bounded by the workload's item count and the protocol ceiling.
-    // Deliberately independent of the window depth: the micro-shard is
-    // the unit of latency, so at a fixed grain a deeper window strictly
-    // reduces the number of serialized round-trip generations per worker
-    // (count/window of them) — which is the whole point of pipelining.
-    const auto workers64 = static_cast<std::uint64_t>(conns_.size());
-    const std::uint64_t target = workers64 * 32;
-    shards = static_cast<unsigned>(std::min<std::uint64_t>(
-        std::min<std::uint64_t>(items_hint, target), wire::kMaxShards));
-    if (shards == 0) shards = 1;
-  }
   HMDIV_OBS_SCOPED_TIMER("exec.cluster.run_ns");
   HMDIV_OBS_COUNT("exec.cluster.runs", 1);
-  const bool ship_obs = obs::enabled();
-  const unsigned threads =
-      options_.threads ? options_.threads : default_config().threads;
-
-  // Pending work in micro-shard units: dispatch slices task-sized spans
-  // off the front, a sidelined worker's in-flight spans requeue at the
-  // front (oldest first), so coverage of [0, shards) is exact on every
-  // path.
-  struct Span {
-    std::uint32_t begin = 0;
-    std::uint32_t end = 0;
-  };
-  std::deque<Span> pending;
-  pending.push_back(Span{0, shards});
-  std::uint64_t pending_micro = shards;
-  unsigned completed = 0;
-
-  // Results keyed by span start; payload_span remembers each task's width
-  // so the epilogue can walk the final partition in ascending order.
-  std::vector<std::vector<std::uint8_t>> payloads(shards);
-  std::vector<std::uint32_t> payload_span(shards, 0);
-  std::vector<std::size_t> last_conn(shards, conns_.size());
-  std::string last_failure = "no worker reachable";
-
-  // Health, blob shipping, and re-admission are per-run; warm fds,
-  // cumulative stats, and the speed EWMA persist across runs.
-  for (Conn& conn : conns_) {
-    conn.healthy = !conn.host.empty();
-    conn.blob_sent = false;
-    conn.readmit_armed = false;
-    conn.probing = false;
-    conn.readmitted_this_run = false;
-    conn.dispatched_micro = 0;
-    conn.stats.inflight = 0;
-  }
-
-  // Drops a worker: the frame stream cannot be resynced, so the fd
-  // closes, every in-flight span goes back to the front of the queue in
-  // dispatch order, and — once per run — a re-probe is scheduled after
-  // the backoff.
-  const auto sideline = [&](Conn& conn, const std::string& why) {
-    conn.stats.last_error = why;
-    last_failure = conn.stats.address + ": " + why;
-    if (!conn.inflight.empty()) {
-      conn.stats.retries += conn.inflight.size();
-      HMDIV_OBS_COUNT("exec.cluster.retries", conn.inflight.size());
-      for (auto it = conn.inflight.rbegin(); it != conn.inflight.rend();
-           ++it) {
-        pending.push_front(Span{it->id, it->id + it->span});
-        pending_micro += it->span;
-      }
-    }
-    conn.close_fd();
-    conn.healthy = false;
-    conn.stats.inflight = 0;
-    if (options_.readmit_after.count() > 0 && !conn.readmitted_this_run) {
-      conn.readmit_armed = true;
-      conn.readmit_at = Clock::now() + options_.readmit_after;
-    }
-  };
-
-  const auto enter_upgrade = [&](Conn& conn) {
-    conn.state = Conn::State::upgrading;
-    conn.upgrade_sent = 0;
-    conn.upgrade_line.clear();
-    conn.conn_deadline = Clock::now() + options_.connect_timeout;
-    const int one = 1;
-    ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-  };
-
-  // Kicks off a non-blocking connect; the poll loop finishes it. All
-  // startup connects launch together, so startup cost is the slowest
-  // worker's handshake, not the sum.
-  const auto start_connect = [&](Conn& conn) {
-    addrinfo hints{};
-    hints.ai_family = AF_UNSPEC;
-    hints.ai_socktype = SOCK_STREAM;
-    hints.ai_flags = AI_NUMERICSERV;
-    addrinfo* list = nullptr;
-    const int rc =
-        ::getaddrinfo(conn.host.c_str(), conn.port.c_str(), &hints, &list);
-    if (rc != 0) {
-      sideline(conn, std::string("resolve failed: ") + ::gai_strerror(rc));
-      return;
-    }
-    int fd = -1;
-    int last_errno = ECONNREFUSED;
-    bool in_progress = false;
-    for (addrinfo* ai = list; ai != nullptr; ai = ai->ai_next) {
-      fd = ::socket(ai->ai_family,
-                    ai->ai_socktype | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                    ai->ai_protocol);
-      if (fd < 0) {
-        last_errno = errno;
-        continue;
-      }
-      if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) break;
-      if (errno == EINPROGRESS) {
-        in_progress = true;
-        break;
-      }
-      last_errno = errno;
-      ::close(fd);
-      fd = -1;
-    }
-    ::freeaddrinfo(list);
-    if (fd < 0) {
-      sideline(conn, std::string("connect failed: ") +
-                         std::strerror(last_errno));
-      return;
-    }
-    conn.fd = fd;
-    if (in_progress) {
-      conn.state = Conn::State::connecting;
-      conn.conn_deadline = Clock::now() + options_.connect_timeout;
-    } else {
-      enter_upgrade(conn);
-    }
-  };
-
-  const auto finish_upgrade = [&](Conn& conn, std::size_t newline) {
-    const std::size_t ok = conn.upgrade_line.find("\"ok\":true");
-    if (ok == std::string::npos || ok > newline) {
-      sideline(conn,
-               "upgrade rejected: " + conn.upgrade_line.substr(0, newline));
-      return;
-    }
-    // Trailing bytes already belong to the frame stream (none with a
-    // well-behaved worker, but the parser owns them either way).
-    const std::size_t extra = conn.upgrade_line.size() - newline - 1;
-    if (extra > 0) {
-      conn.parser.feed(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(conn.upgrade_line.data()) +
-              newline + 1,
-          extra));
-    }
-    conn.upgrade_line.clear();
-    conn.state = Conn::State::ready;
-    if (conn.probing) {
-      conn.probing = false;
-      conn.stats.readmitted += 1;
-      HMDIV_OBS_COUNT("exec.cluster.readmitted", 1);
-    }
-  };
-
-  // Adaptive task size: aim for window-many refills of everyone's window
-  // over the remaining work, scaled by this worker's observed speed
-  // relative to the fleet mean so fast workers pull bigger spans.
-  const auto task_size_for = [&](const Conn& conn) -> std::uint32_t {
-    std::uint64_t active = 0;
-    double speed_sum = 0;
-    std::uint64_t sampled = 0;
-    for (const Conn& c : conns_) {
-      if (!c.healthy || c.state == Conn::State::closed) continue;
-      active += 1;
-      if (c.ewma_ns_per_shard > 0) {
-        speed_sum += 1.0 / c.ewma_ns_per_shard;
-        sampled += 1;
-      }
-    }
-    if (active == 0) active = 1;
-    double ratio = 1.0;
-    if (conn.ewma_ns_per_shard > 0 && sampled > 0) {
-      const double mean_speed = speed_sum / static_cast<double>(sampled);
-      ratio = std::clamp((1.0 / conn.ewma_ns_per_shard) / mean_speed, 0.25,
-                         4.0);
-    }
-    const double denom = static_cast<double>(active * window);
-    auto n = static_cast<std::uint64_t>(
-        std::ceil(static_cast<double>(pending_micro) * ratio / denom));
-    // Never let a span swallow a worker's whole remaining share: a fully
-    // grown task still leaves ~16 dispatches per active worker, so the
-    // window keeps refilling (RTT stays hidden behind queued tasks), a
-    // sidelined worker requeues small spans instead of one fat one, and
-    // the tail is never gated by a single oversized task.
-    const std::uint64_t cap = std::max<std::uint64_t>(
-        1, static_cast<std::uint64_t>(shards) / (active * 16));
-    n = std::clamp<std::uint64_t>(n, 1, cap);
-    return static_cast<std::uint32_t>(n);
-  };
-
-  const auto dispatch_one = [&](std::size_t index) {
-    Conn& conn = conns_[index];
-    const std::uint32_t want = task_size_for(conn);
-    Span& front = pending.front();
-    const std::uint32_t take = std::min(want, front.end - front.begin);
-    const std::uint32_t start = front.begin;
-    front.begin += take;
-    if (front.begin == front.end) pending.pop_front();
-    pending_micro -= take;
-    for (std::uint32_t s = start; s < start + take; ++s) {
-      if (last_conn[s] < conns_.size() && last_conn[s] != index) {
-        HMDIV_OBS_COUNT("exec.cluster.reassigned", 1);
-        break;
-      }
-    }
-    for (std::uint32_t s = start; s < start + take; ++s) {
-      last_conn[s] = index;
-    }
-    wire::ShardTask task;
-    task.workload = std::string(workload);
-    task.shard_index = start;
-    task.shard_count = shards;
-    task.span = take;
-    task.threads = threads;
-    task.obs_enabled = ship_obs;
-    task.blob_cached = conn.blob_sent;
-    if (!conn.blob_sent) {
-      task.blob.assign(blob.begin(), blob.end());
-      conn.blob_sent = true;
-    }
-    wire::append_frame(conn.send_buf, wire::FrameType::task,
-                       wire::serialize_task(task));
-    const auto now = Clock::now();
-    conn.inflight.push_back(Conn::Inflight{start, take, now});
-    conn.dispatched_micro += take;
-    if (conn.inflight.size() == 1) {
-      conn.head_deadline = now + options_.task_deadline;
-    }
-    conn.stats.inflight = static_cast<std::uint32_t>(conn.inflight.size());
-    conn.stats.task_size = take;
-    if (obs::enabled()) {
-      auto& registry = obs::Registry::global();
-      registry.histogram("exec.cluster.inflight")
-          .record(conn.inflight.size());
-      registry.histogram("exec.cluster.queue_depth").record(pending_micro);
-      registry.histogram("exec.cluster.task_size").record(take);
-    }
-  };
-
-  // While any connect/upgrade is still pending, cap each ready worker's
-  // cumulative dispatch at its fair share of micro-shards so the first
-  // worker up cannot drain the whole queue before the rest join; once
-  // the fleet has settled the cap lifts and windows fill freely.
-  bool startup_fairness = true;
-  const auto fill_windows = [&]() {
-    std::uint64_t active = 0;
-    for (const Conn& conn : conns_) {
-      if (conn.healthy && conn.state != Conn::State::closed) active += 1;
-    }
-    const std::uint64_t fair_share =
-        active == 0 ? shards : (shards + active - 1) / active;
-    for (;;) {
-      if (pending.empty()) return;
-      std::size_t best = conns_.size();
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        const Conn& conn = conns_[i];
-        if (!conn.healthy || conn.state != Conn::State::ready) continue;
-        if (conn.inflight.size() >= window) continue;
-        if (startup_fairness && conn.dispatched_micro >= fair_share) {
-          continue;
-        }
-        // Shallowest window first; on ties the worker that has pulled
-        // the least so far, so fresh joiners get work immediately.
-        if (best == conns_.size() ||
-            conn.inflight.size() < conns_[best].inflight.size() ||
-            (conn.inflight.size() == conns_[best].inflight.size() &&
-             conn.dispatched_micro < conns_[best].dispatched_micro)) {
-          best = i;
-        }
-      }
-      if (best == conns_.size()) return;
-      dispatch_one(best);
-    }
-  };
-
-  const auto complete_head = [&](Conn& conn) {
-    const Conn::Inflight head = conn.inflight.front();
-    conn.inflight.pop_front();
-    conn.stats.inflight = static_cast<std::uint32_t>(conn.inflight.size());
-    for (std::vector<std::uint8_t>& snapshot : conn.cur_obs) {
-      try {
-        obs::Registry::global().merge(obs::parse_snapshot(snapshot));
-      } catch (const std::exception& e) {
-        throw ClusterError("cluster: " + conn.stats.address +
-                           ": bad obs frame: " + e.what());
-      }
-    }
-    conn.cur_obs.clear();
-    payloads[head.id] = std::move(conn.cur_payload);
-    conn.cur_payload = std::vector<std::uint8_t>{};
-    conn.have_payload = false;
-    payload_span[head.id] = head.span;
-    completed += head.span;
-    conn.stats.tasks += 1;
-    HMDIV_OBS_COUNT("exec.cluster.tasks", 1);
-    const auto now = Clock::now();
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .histogram("exec.cluster.rpc_ns")
-          .record(elapsed_ns(head.dispatched, now));
-    }
-    // Service time excludes time the task spent queued behind its
-    // window-mates, so the EWMA measures worker speed, not pipeline depth.
-    const auto service_start = conn.last_complete > head.dispatched
-                                   ? conn.last_complete
-                                   : head.dispatched;
-    const double per_shard =
-        static_cast<double>(elapsed_ns(service_start, now)) /
-        static_cast<double>(head.span);
-    conn.ewma_ns_per_shard = conn.ewma_ns_per_shard == 0
-                                 ? per_shard
-                                 : 0.3 * per_shard +
-                                       0.7 * conn.ewma_ns_per_shard;
-    conn.last_complete = now;
-    if (!conn.inflight.empty()) {
-      conn.head_deadline = now + options_.task_deadline;
-    }
-  };
-
-  // Drains every parsed frame; false when the connection was sidelined.
-  // Throws ClusterError on structured worker errors (deterministic
-  // failures reassignment cannot fix) — the caller lets those abort.
-  const auto process_frames = [&](Conn& conn) -> bool {
-    while (auto frame = conn.parser.next()) {
-      switch (frame->type) {
-        case wire::FrameType::result:
-          if (conn.inflight.empty() || conn.have_payload) {
-            sideline(conn, "unexpected result frame");
-            return false;
-          }
-          conn.cur_payload = std::move(frame->payload);
-          conn.have_payload = true;
-          break;
-        case wire::FrameType::obs:
-          if (conn.inflight.empty()) {
-            sideline(conn, "unexpected obs frame");
-            return false;
-          }
-          conn.cur_obs.push_back(std::move(frame->payload));
-          break;
-        case wire::FrameType::error: {
-          std::string message = "worker error";
-          try {
-            wire::Reader reader(frame->payload);
-            message = reader.str();
-          } catch (const wire::ProtocolError&) {
-          }
-          conn.stats.last_error = message;
-          throw ClusterError("cluster: " + conn.stats.address + ": " +
-                             message);
-        }
-        case wire::FrameType::done: {
-          std::uint32_t id = 0;
-          try {
-            id = wire::parse_done(frame->payload);
-          } catch (const wire::ProtocolError& e) {
-            sideline(conn, std::string("bad done frame: ") + e.what());
-            return false;
-          }
-          if (conn.inflight.empty() || id != conn.inflight.front().id ||
-              !conn.have_payload) {
-            sideline(conn, "done frame out of order (task " +
-                               std::to_string(id) + ")");
-            return false;
-          }
-          complete_head(conn);
-          break;
-        }
-        case wire::FrameType::task:
-          sideline(conn, "unexpected task frame from worker");
-          return false;
-      }
-    }
-    return true;
-  };
-
-  std::uint8_t buffer[1 << 16];
+  RunState state(options_, conns_, workload, blob, items);
   try {
     for (Conn& conn : conns_) {
       if (conn.healthy && conn.state == Conn::State::closed) {
-        start_connect(conn);
+        state.start_connect(conn);
       }
     }
-
-    while (completed < shards) {
-      for (Conn& conn : conns_) {
-        if (conn.readmit_armed && Clock::now() >= conn.readmit_at) {
-          conn.readmit_armed = false;
-          conn.readmitted_this_run = true;
-          conn.probing = true;
-          conn.healthy = true;
-          start_connect(conn);
-        }
-      }
-
-      if (startup_fairness) {
-        bool pending_conn = false;
-        for (const Conn& conn : conns_) {
-          if (conn.state == Conn::State::connecting ||
-              conn.state == Conn::State::upgrading) {
-            pending_conn = true;
-            break;
-          }
-        }
-        if (!pending_conn) startup_fairness = false;
-      }
-
-      fill_windows();
-
-      std::vector<pollfd> fds;
-      std::vector<std::size_t> owner;
-      int timeout = 60'000;
-      bool readmit_pending = false;
-      for (std::size_t i = 0; i < conns_.size(); ++i) {
-        Conn& conn = conns_[i];
-        if (conn.readmit_armed) {
-          readmit_pending = true;
-          timeout = std::min(timeout, remaining_ms(conn.readmit_at));
-        }
-        if (!conn.healthy || conn.state == Conn::State::closed) continue;
-        short events = 0;
-        switch (conn.state) {
-          case Conn::State::connecting:
-            events = POLLOUT;
-            timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
-            break;
-          case Conn::State::upgrading:
-            events = POLLIN;
-            if (conn.upgrade_sent < kShardUpgradeLine.size()) {
-              events |= POLLOUT;
-            }
-            timeout = std::min(timeout, remaining_ms(conn.conn_deadline));
-            break;
-          case Conn::State::ready:
-            if (conn.inflight.empty() && conn.sent >= conn.send_buf.size()) {
-              continue;  // idle warm connection: nothing expected
-            }
-            events = POLLIN;
-            if (conn.sent < conn.send_buf.size()) events |= POLLOUT;
-            if (!conn.inflight.empty()) {
-              timeout = std::min(timeout, remaining_ms(conn.head_deadline));
-            }
-            break;
-          case Conn::State::closed:
-            continue;
-        }
-        fds.push_back(pollfd{conn.fd, events, 0});
-        owner.push_back(i);
-      }
-      if (fds.empty()) {
-        if (readmit_pending) {
-          // Every worker is sidelined but a re-probe is scheduled: sleep
-          // out the shortest backoff instead of giving up.
-          if (timeout > 0) ::poll(nullptr, 0, timeout);
-          continue;
-        }
-        throw ClusterError(
-            "cluster: no healthy workers remain (" +
-            std::to_string(shards - completed) +
-            " micro-shards unfinished; last failure: " + last_failure +
-            ")");
-      }
-
-      const int ready = ::poll(fds.data(), fds.size(), timeout);
-      if (ready < 0 && errno != EINTR) {
-        throw ClusterError(std::string("cluster: poll failed: ") +
-                           std::strerror(errno));
-      }
-
-      for (std::size_t i = 0; i < fds.size(); ++i) {
-        Conn& conn = conns_[owner[i]];
-        if (!conn.healthy || conn.state == Conn::State::closed) continue;
-        const short revents = fds[i].revents;
-
-        if (conn.state == Conn::State::connecting) {
-          if (revents != 0) {
-            int so_error = 0;
-            socklen_t len = sizeof so_error;
-            if (::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &so_error,
-                             &len) != 0) {
-              so_error = errno;
-            }
-            if (so_error != 0) {
-              sideline(conn, std::string("connect failed: ") +
-                                 std::strerror(so_error));
-            } else {
-              enter_upgrade(conn);
-            }
-          } else if (Clock::now() >= conn.conn_deadline) {
-            sideline(conn, "connect timed out");
-          }
-          continue;
-        }
-
-        if (conn.state == Conn::State::upgrading) {
-          if ((revents & POLLOUT) != 0 &&
-              conn.upgrade_sent < kShardUpgradeLine.size()) {
-            const ssize_t n = ::send(
-                conn.fd, kShardUpgradeLine.data() + conn.upgrade_sent,
-                kShardUpgradeLine.size() - conn.upgrade_sent, MSG_NOSIGNAL);
-            if (n < 0) {
-              if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                  errno != EINTR) {
-                sideline(conn, "upgrade send failed");
-                continue;
-              }
-            } else {
-              conn.upgrade_sent += static_cast<std::size_t>(n);
-            }
-          }
-          if ((revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-            const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-            if (n > 0) {
-              conn.upgrade_line.append(reinterpret_cast<const char*>(buffer),
-                                       static_cast<std::size_t>(n));
-              const std::size_t newline = conn.upgrade_line.find('\n');
-              if (newline != std::string::npos) {
-                finish_upgrade(conn, newline);
-              } else if (conn.upgrade_line.size() > 4096) {
-                sideline(conn, "oversized upgrade response");
-              }
-            } else if (n == 0) {
-              sideline(conn, "closed during upgrade");
-            } else if (errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR) {
-              sideline(conn, std::string("upgrade read failed: ") +
-                                 std::strerror(errno));
-            }
-          }
-          if (conn.state == Conn::State::upgrading &&
-              Clock::now() >= conn.conn_deadline) {
-            sideline(conn, "upgrade timed out");
-          }
-          continue;
-        }
-
-        // ready: pump pipelined task bytes out, drain reply frames in.
-        if ((revents & POLLOUT) != 0 && conn.sent < conn.send_buf.size()) {
-          const ssize_t n =
-              ::send(conn.fd, conn.send_buf.data() + conn.sent,
-                     conn.send_buf.size() - conn.sent, MSG_NOSIGNAL);
-          if (n < 0) {
-            if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-              sideline(conn, std::string("task send failed: ") +
-                                 std::strerror(errno));
-              continue;
-            }
-          } else {
-            conn.sent += static_cast<std::size_t>(n);
-            conn.stats.bytes_out += static_cast<std::uint64_t>(n);
-            HMDIV_OBS_COUNT("exec.cluster.bytes_out", n);
-            if (conn.sent == conn.send_buf.size()) {
-              conn.send_buf.clear();
-              conn.sent = 0;
-            }
-          }
-        }
-
-        if ((revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL)) != 0) {
-          const ssize_t n = ::recv(conn.fd, buffer, sizeof buffer, 0);
-          if (n < 0) {
-            if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
-              sideline(conn, std::string("reply read failed: ") +
-                                 std::strerror(errno));
-              continue;
-            }
-          } else if (n == 0) {
-            sideline(conn, "connection closed by worker");
-            continue;
-          } else {
-            conn.stats.bytes_in += static_cast<std::uint64_t>(n);
-            HMDIV_OBS_COUNT("exec.cluster.bytes_in", n);
-            conn.parser.feed({buffer, static_cast<std::size_t>(n)});
-            try {
-              if (!process_frames(conn)) continue;
-            } catch (const wire::ProtocolError& e) {
-              sideline(conn, std::string("protocol error: ") + e.what());
-              continue;
-            }
-          }
-        }
-
-        if (!conn.inflight.empty() && Clock::now() >= conn.head_deadline) {
-          sideline(conn, "task deadline expired");
-        }
-      }
+    while (state.completed < state.shards) {
+      state.readmit_due();
+      state.fill_windows();
+      state.poll_once();
     }
   } catch (...) {
     HMDIV_OBS_COUNT("exec.cluster.failures", 1);
@@ -795,36 +725,9 @@ std::vector<std::vector<std::uint8_t>> ClusterRunner::run(
     for (Conn& conn : conns_) {
       if (!conn.inflight.empty()) conn.close_fd();
     }
-    detail::set_cluster_worker_stats(worker_stats());
     throw;
   }
-
-  detail::set_cluster_worker_stats(worker_stats());
-
-  // The final partition in ascending span-start order: each completed
-  // task recorded its width, so the walk visits every payload exactly
-  // once with no overlap.
-  std::vector<std::vector<std::uint8_t>> results;
-  for (std::uint32_t s = 0; s < shards;) {
-    results.push_back(std::move(payloads[s]));
-    const std::uint32_t span = payload_span[s] == 0 ? 1 : payload_span[s];
-    s += span;
-  }
-  return results;
+  return std::move(state.payloads);
 }
-
-std::vector<ClusterWorkerStats> cluster_worker_stats() {
-  const std::lock_guard<std::mutex> lock(stats_mutex());
-  return stats_store();
-}
-
-namespace detail {
-
-void set_cluster_worker_stats(std::vector<ClusterWorkerStats> stats) {
-  const std::lock_guard<std::mutex> lock(stats_mutex());
-  stats_store() = std::move(stats);
-}
-
-}  // namespace detail
 
 }  // namespace hmdiv::exec

@@ -1,5 +1,5 @@
 // Multi-host distributed execution: a TCP shard coordinator (DESIGN.md
-// §15–16).
+// §15).
 //
 // Threads (exec/parallel.hpp) are the one way to go parallel on a host;
 // ClusterRunner is the one way to leave it. It fans substream-partitioned
@@ -7,21 +7,19 @@
 // subspans, core.uq.sample draw chunks — across remote `hmdiv_serve`
 // workers over TCP, using the HMDF frame format and the wire::shard_range
 // partition of exec/shard_protocol.hpp. Because a task's payload is a pure
-// function of (blob, shard_index, span, shard_count), and the merge is in
-// ascending span-start order, output over N hosts is bit-identical to the
+// function of (blob, shard_index, shard_count), and the merge is in
+// ascending shard order, output over N hosts is bit-identical to the
 // in-process run — the thread pool's determinism contract, lifted to the
 // network.
 //
-// Scheduling (the latency-hiding part): instead of `shards == tasks` with
-// one outstanding task per worker, the coordinator cuts the substream
-// index space into many micro-shards and keeps up to
-// ClusterOptions::window tasks in flight per connection, matching replies
-// FIFO via per-task done frames — the next task's bytes are on the wire
-// while the worker computes the current one, so network RTT hides behind
-// compute. Task sizes adapt per worker from an EWMA of observed service
-// time, so fast workers pull bigger spans and stragglers stop gating the
-// tail. The workload config blob ships once per connection (the session
-// caches it; follow-up tasks set blob_cached).
+// Dispatch: a run cuts the workload's item space into
+// cluster_shard_count() micro-shards, one per task, and hands them out
+// from a FIFO queue to whichever ready connection has the fewest tasks in
+// flight, keeping up to four in flight per connection. Replies match FIFO
+// via per-task done frames, so the next task's bytes are on the wire while
+// the worker computes the current one. The workload config blob ships
+// once per connection (the session caches it; follow-up tasks set
+// blob_cached).
 //
 // Transport: one warm TCP connection per worker (kept across run() calls,
 // so a profiling pipeline pays the connect + NDJSON upgrade handshake
@@ -29,7 +27,7 @@
 // together, bounding startup by the slowest worker. A worker that fails —
 // connect refusal, reset, EOF, malformed frames, a done frame out of
 // order, or a blown head-of-line deadline — is sidelined, all of its
-// in-flight spans requeue at the front of the queue (safe by the purity
+// in-flight shards requeue at the front of the queue (safe by the purity
 // argument above), and after ClusterOptions::readmit_after it gets one
 // re-probe per run so a transient outage does not cost the whole fleet
 // member; structured error frames, by contrast, are deterministic
@@ -38,6 +36,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -51,17 +50,9 @@ namespace hmdiv::exec {
 struct ClusterOptions {
   /// Worker endpoints ("host:port" or "[v6]:port"), e.g. from --workers.
   std::vector<std::string> workers;
-  /// Shards to partition each run into; 0 lets the run pick an adaptive
-  /// micro-shard count from the workload's item hint (many small tasks
-  /// per worker — see ClusterRunner::run), falling back to one shard per
-  /// worker. More shards than workers is fine (tasks queue).
-  unsigned shards = 0;
   /// Thread budget per task on the worker; 0 means this process's default
   /// thread count.
   unsigned threads = 0;
-  /// Tasks kept in flight per connection (pipelining depth). 1 restores
-  /// the strict request/reply lockstep of PR 9.
-  unsigned window = 4;
   /// Per-task wall-clock budget, measured at the head of each
   /// connection's in-flight queue. On expiry the worker is dropped and
   /// its in-flight tasks re-issued elsewhere.
@@ -73,9 +64,7 @@ struct ClusterOptions {
   std::chrono::milliseconds readmit_after{1'000};
 };
 
-/// Per-worker tallies, cumulative across a runner's lifetime except where
-/// noted. The serve `metrics` endpoint renders the most recent runner's
-/// array (see cluster_worker_stats()).
+/// Per-worker tallies, cumulative across a runner's lifetime.
 struct ClusterWorkerStats {
   std::string address;        ///< endpoint as configured
   std::uint64_t tasks = 0;    ///< tasks completed here
@@ -83,11 +72,15 @@ struct ClusterWorkerStats {
   std::uint64_t bytes_in = 0;   ///< reply bytes drained from it
   std::uint64_t retries = 0;  ///< tasks abandoned here and re-issued
   std::uint64_t readmitted = 0;  ///< times sidelined then re-admitted
-  std::uint32_t inflight = 0;   ///< tasks in flight right now
-  std::uint32_t window = 0;     ///< configured pipelining depth
-  std::uint32_t task_size = 0;  ///< micro-shards in the latest task
   std::string last_error;     ///< most recent transport failure, if any
 };
+
+/// Micro-shards (and so tasks) one run over `items` work units is cut
+/// into across `workers` workers: 16 per worker, never more than the
+/// items, clamped to [1, wire::kMaxShards]. A pure function of its
+/// arguments, so a run's partition never depends on timing.
+[[nodiscard]] std::uint32_t cluster_shard_count(std::uint64_t items,
+                                                std::size_t workers) noexcept;
 
 /// A cluster run that could not complete: every worker failed, a task ran
 /// out of workers to retry on, or a worker shipped a structured error
@@ -106,43 +99,25 @@ class ClusterRunner {
   ClusterRunner(const ClusterRunner&) = delete;
   ClusterRunner& operator=(const ClusterRunner&) = delete;
 
-  /// Shard count of a run without an items hint: options.shards, or one
-  /// shard per worker when that is 0 (clamped to [1, wire::kMaxShards]).
-  /// Runs with an items hint and no explicit count pick their own
-  /// micro-shard count.
-  [[nodiscard]] unsigned resolved_shards() const noexcept;
-
-  /// Runs `workload` across the fleet and returns the raw result
-  /// payloads in ascending span-start order — each payload covers the
-  /// contiguous micro-shard span of one task, so workload wrappers
-  /// concatenate/fold them in order. `items_hint` is the workload's
+  /// Runs `workload` across the fleet and returns one raw result payload
+  /// per micro-shard, in ascending shard order, so workload wrappers
+  /// concatenate/fold them in order. `items` is the workload's
   /// natural-grain item count (trial batches, grid points, draw chunks);
-  /// when options.shards is 0 it sizes the micro-shard partition (0 keeps
-  /// the one-shard-per-worker fallback). Throws ClusterError when the
-  /// run cannot complete.
+  /// it sizes the partition through cluster_shard_count. Throws
+  /// ClusterError when the run cannot complete.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> run(
       std::string_view workload, std::span<const std::uint8_t> blob,
-      std::uint64_t items_hint = 0);
+      std::uint64_t items);
 
   /// Per-worker tallies so far (index-aligned with options.workers).
   [[nodiscard]] std::vector<ClusterWorkerStats> worker_stats() const;
 
  private:
   struct Conn;
+  struct RunState;
 
   ClusterOptions options_;
   std::vector<Conn> conns_;
 };
-
-/// Latest per-worker stats published by any ClusterRunner in this process
-/// (updated after every run). The serve `metrics` endpoint renders these
-/// as its `workers` array; empty when no cluster run has happened.
-[[nodiscard]] std::vector<ClusterWorkerStats> cluster_worker_stats();
-
-namespace detail {
-/// Publishes `stats` as the process-global cluster worker array (runner
-/// epilogue and tests).
-void set_cluster_worker_stats(std::vector<ClusterWorkerStats> stats);
-}  // namespace detail
 
 }  // namespace hmdiv::exec

@@ -6,7 +6,7 @@
 // from then on the connection carries the length-prefixed "HMDF" frames
 // of shard_protocol.hpp — task frames in, result (+ obs) or error frames
 // out, several tasks per connection. Every task's payload is a pure
-// function of (blob, shard_index, span, shard_count) over the workload's
+// function of (blob, shard_index, shard_count) over the workload's
 // wire::shard_range partition, and the coordinator merges in ascending
 // shard order, which is what makes N hosts bit-identical to the
 // in-process run by construction.
@@ -36,9 +36,10 @@ inline constexpr std::string_view kShardUpgradeLine =
     "{\"op\":\"shard\",\"id\":0}\n";
 
 /// A worker-side workload implementation: rebuilds the workload from
-/// task.blob, computes the slice given by wire::task_range(task) over its
-/// own index space with a thread budget of exec::Config{task.threads},
-/// and returns the result payload shipped back to the coordinator.
+/// task.blob, computes the slice wire::shard_range(items,
+/// task.shard_index, task.shard_count) of its own index space with a
+/// thread budget of exec::Config{task.threads}, and returns the result
+/// payload shipped back to the coordinator.
 using ShardHandler = std::vector<std::uint8_t> (*)(const wire::ShardTask&);
 
 /// Registers `handler` under `name` (process-wide; later registrations of
@@ -74,7 +75,7 @@ bool execute_shard_task(const wire::ShardTask& task,
 /// Worker-side shard-mode stream: feed it connection bytes, ship back the
 /// replies it produces. One session per upgraded connection. Coordinators
 /// may pipeline several task frames back to back; each task's reply ends
-/// with a done frame carrying the task's id (span-start shard index), so
+/// with a done frame carrying the task's id (its shard index), so
 /// the far end can match replies to its in-flight window FIFO. The session
 /// also caches the most recent inline blob per connection: a task with
 /// blob_cached set reuses it, so a coordinator ships a large workload
@@ -82,7 +83,7 @@ bool execute_shard_task(const wire::ShardTask& task,
 class ShardSession {
  public:
   struct Reply {
-    /// Span-start shard index of the task (faults key on it).
+    /// Shard index of the task (faults key on it).
     std::uint32_t shard_index = 0;
     /// Frames to ship, in order (result [+ obs] + done, or error).
     std::vector<std::uint8_t> bytes;

@@ -69,7 +69,6 @@ std::vector<std::uint8_t> serialize_task(const ShardTask& task) {
   w.str(task.workload);
   w.u32(task.shard_index);
   w.u32(task.shard_count);
-  w.u32(task.span);
   w.u32(task.threads);
   w.u8(task.obs_enabled ? 1 : 0);
   w.u8(task.blob_cached ? 1 : 0);
@@ -84,7 +83,6 @@ ShardTask parse_task(std::span<const std::uint8_t> payload) {
   task.workload = r.str();
   task.shard_index = r.u32();
   task.shard_count = r.u32();
-  task.span = r.u32();
   task.threads = r.u32();
   task.obs_enabled = r.u8() != 0;
   task.blob_cached = r.u8() != 0;
@@ -96,10 +94,6 @@ ShardTask parse_task(std::span<const std::uint8_t> payload) {
   }
   if (task.shard_count == 0 || task.shard_index >= task.shard_count) {
     throw ProtocolError("shard task: shard_index outside [0, shard_count)");
-  }
-  if (task.span == 0 ||
-      std::uint64_t{task.shard_index} + task.span > task.shard_count) {
-    throw ProtocolError("shard task: span outside [1, shard_count - index]");
   }
   if (task.blob_cached && !task.blob.empty()) {
     throw ProtocolError("shard task: cached task carries an inline blob");
@@ -132,15 +126,6 @@ ShardRange shard_range(std::uint64_t items, std::uint32_t shard,
   const std::uint64_t r = items % n;
   const auto cut = [&](std::uint64_t k) { return k * q + (k * r) / n; };
   return ShardRange{cut(s), cut(s + 1)};
-}
-
-ShardRange task_range(std::uint64_t items, const ShardTask& task) noexcept {
-  // Cuts nest: shard_range(items, s, N).end == shard_range(items, s+1,
-  // N).begin, so the span's union is one contiguous range.
-  const std::uint32_t span = std::max(task.span, 1u);
-  return ShardRange{
-      shard_range(items, task.shard_index, task.shard_count).begin,
-      shard_range(items, task.shard_index + span - 1, task.shard_count).end};
 }
 
 }  // namespace hmdiv::exec::wire

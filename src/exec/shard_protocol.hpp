@@ -57,11 +57,11 @@ enum class FrameType : std::uint32_t {
   /// Worker -> coordinator: structured failure description (string).
   error = 4,
   /// Worker -> coordinator: end-of-task marker carrying the task's id (its
-  /// span-start shard index, u32). With several tasks pipelined on one
-  /// connection the coordinator matches replies FIFO; the done frame is
-  /// the sequencing point that says "every frame before me belonged to
-  /// task <id>" — and doubles as an ordering check, since the id must
-  /// equal the head of the coordinator's in-flight queue.
+  /// shard index, u32). With several tasks pipelined on one connection the
+  /// coordinator matches replies FIFO; the done frame is the sequencing
+  /// point that says "every frame before me belonged to task <id>" — and
+  /// doubles as an ordering check, since the id must equal the head of the
+  /// coordinator's in-flight queue.
   done = 5,
 };
 
@@ -202,18 +202,10 @@ struct ShardTask {
   /// Name the workload handler was registered under
   /// (exec/cluster_protocol.hpp).
   std::string workload;
-  /// First micro-shard this task covers, in [0, shard_count).
+  /// The micro-shard this task covers, in [0, shard_count).
   std::uint32_t shard_index = 0;
   /// Total shards the work is partitioned into.
   std::uint32_t shard_count = 1;
-  /// Consecutive micro-shards this task covers, starting at shard_index;
-  /// shard_index + span <= shard_count. Because shard_range cuts nest
-  /// (cut(k) is a pure function of k), the union of shards
-  /// [shard_index, shard_index + span) is the contiguous item range
-  /// [cut(shard_index), cut(shard_index + span)) — see task_range() — so
-  /// any span partition of the same shard_count yields bit-identical
-  /// per-item results. span == 1 is the classic one-task-per-shard shape.
-  std::uint32_t span = 1;
   /// Worker thread budget (0 = all hardware threads).
   std::uint32_t threads = 1;
   /// Whether the worker should enable obs and ship its registry back.
@@ -224,15 +216,15 @@ struct ShardTask {
   /// per connection instead of once per micro-task.
   bool blob_cached = false;
   /// Opaque workload configuration — identical for every shard; handlers
-  /// derive their slice from (shard_index, span, shard_count).
+  /// derive their slice from shard_range(items, shard_index, shard_count).
   std::vector<std::uint8_t> blob;
 };
 
 [[nodiscard]] std::vector<std::uint8_t> serialize_task(const ShardTask& task);
 [[nodiscard]] ShardTask parse_task(std::span<const std::uint8_t> payload);
 
-/// Payload of a done frame: the id (span-start shard index) of the task
-/// whose reply frames precede it on the stream.
+/// Payload of a done frame: the id (shard index) of the task whose reply
+/// frames precede it on the stream.
 [[nodiscard]] std::vector<std::uint8_t> serialize_done(std::uint32_t task_id);
 [[nodiscard]] std::uint32_t parse_done(std::span<const std::uint8_t> payload);
 
@@ -247,13 +239,5 @@ struct ShardRange {
 };
 [[nodiscard]] ShardRange shard_range(std::uint64_t items, std::uint32_t shard,
                                      std::uint32_t shards) noexcept;
-
-/// Item range a (possibly multi-shard) task covers: the union of
-/// shard_range(items, s, task.shard_count) for s in
-/// [task.shard_index, task.shard_index + task.span). Contiguous because
-/// the shard_range cuts nest; handlers use this instead of shard_range so
-/// the same code serves span == 1 and micro-task spans.
-[[nodiscard]] ShardRange task_range(std::uint64_t items,
-                                    const ShardTask& task) noexcept;
 
 }  // namespace hmdiv::exec::wire

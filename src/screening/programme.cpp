@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
+
 namespace hmdiv::screening {
 
 ProgrammeResult run_programme(PopulationGenerator population,
@@ -10,6 +12,7 @@ ProgrammeResult run_programme(PopulationGenerator population,
   if (case_count == 0) {
     throw std::invalid_argument("run_programme: case_count == 0");
   }
+  HMDIV_OBS_SCOPED_TIMER("screening.programme.run_ns");
   ProgrammeResult out;
   out.policy_name = policy.name();
   for (std::uint64_t i = 0; i < case_count; ++i) {

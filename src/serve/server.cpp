@@ -8,14 +8,12 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -47,14 +45,14 @@ void close_quietly(int& fd) {
 
 // --- Shard-transport fault injection (test hook) ---------------------------
 // HMDIV_SHARD_FAULT="<mode>:<shard|*>" makes the shard endpoint misbehave
-// on its reply to every task whose span-start shard index is <shard> ('*'
-// matches every task — the deterministic spelling when the task → worker
-// mapping is timing-dependent, as it is under the pipelined coordinator's
+// on its reply to every task whose shard index is <shard> ('*' matches
+// every task — the deterministic spelling when the task → worker mapping
+// is timing-dependent, as it is under the pipelined coordinator's
 // concurrent startup). Modes: "connreset" RSTs the connection instead of
 // replying; "slowdrain" ships half the reply, then stalls past any
-// per-task deadline; "delay", spelled "delay:<shard|*>:<ms>", ships each
-// matching reply `ms` late, emulating WAN round-trip latency on loopback.
-// Anything else is no fault. Only fault-injection tests and benches set it.
+// per-task deadline; "delay", spelled "delay:<shard|*>:<ms>", waits `ms`
+// before shipping each matching reply. Anything else is no fault. Only
+// fault-injection tests set it.
 
 struct ShardFault {
   enum class Mode { none, connreset, slowdrain, delay };
@@ -394,82 +392,22 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
 
   const ShardFault fault = shard_fault_from_env();
 
-  // Injected WAN latency (HMDIV_SHARD_FAULT=delay:<shard|*>:<ms>): matching
-  // replies route through a delayed-sender thread that ships each one at
-  // its due time (enqueue + delay). Delays overlap — reply N+1's clock
-  // starts when it is produced, not when reply N finishes its sleep — so a
-  // pipelined coordinator sees per-reply RTT, exactly like a long wire,
-  // not a serialised stall. Once the fault is configured every reply goes
-  // through the queue (unmatched ones with zero delay) so wire order stays
-  // FIFO. Due times are monotone, so the front of the deque is always the
-  // next reply due.
-  const unsigned delay_ms = fault.delay_ms;  // 0 unless mode is delay
-  struct DelayedReply {
-    std::vector<std::uint8_t> bytes;
-    std::chrono::steady_clock::time_point due;
-    bool close = false;
-  };
-  std::mutex delay_mutex;
-  std::condition_variable delay_cv;
-  std::deque<DelayedReply> delay_queue;
-  bool delay_stop = false;   // no more enqueues: drain, then exit
-  bool delay_abort = false;  // shutdown: drop the queue and exit now
-  std::atomic<bool> delay_dead{false};  // sender hit a send failure / close
-  std::thread delay_sender;
-
-  const auto delayed_send_loop = [&] {
-    std::unique_lock<std::mutex> lock(delay_mutex);
-    for (;;) {
-      delay_cv.wait(lock, [&] {
-        return delay_abort || delay_stop || !delay_queue.empty();
-      });
-      if (delay_abort || delay_queue.empty()) return;  // empty ⇒ stop+drained
-      const auto due = delay_queue.front().due;
-      if (delay_cv.wait_until(lock, due, [&] { return delay_abort; })) {
-        return;
-      }
-      DelayedReply item = std::move(delay_queue.front());
-      delay_queue.pop_front();
-      lock.unlock();
-      const bool sent =
-          item.bytes.empty() ||
-          send_all(connection.fd,
-                   reinterpret_cast<const char*>(item.bytes.data()),
-                   item.bytes.size());
-      if (!sent || item.close) {
-        delay_dead.store(true, std::memory_order_release);
-        return;
-      }
-      lock.lock();
+  // Sleeps `ms` in slices so shutdown is not held hostage; false when
+  // shutdown arrived first.
+  const auto stall = [&](unsigned ms) -> bool {
+    for (unsigned slept = 0; slept < ms; slept += 50) {
+      if (stopping_.load(std::memory_order_acquire)) return false;
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::min(50u, ms - slept)));
     }
-  };
-
-  const auto enqueue_delayed = [&](const exec::ShardSession::Reply& reply) {
-    const bool matched = fault.matches(reply.shard_index);
-    if (matched) HMDIV_OBS_COUNT("serve.shard.fault_delay", 1);
-    DelayedReply item;
-    item.bytes = reply.bytes;
-    item.due = std::chrono::steady_clock::now() +
-               std::chrono::milliseconds(matched ? delay_ms : 0);
-    item.close = reply.close;
-    {
-      const std::lock_guard<std::mutex> lock(delay_mutex);
-      delay_queue.push_back(std::move(item));
-    }
-    delay_cv.notify_all();
-    if (!delay_sender.joinable()) {
-      delay_sender = std::thread(delayed_send_loop);
-    }
+    return !stopping_.load(std::memory_order_acquire);
   };
 
   // Ships one task's reply frames; false ends the stream. The injectable
   // faults live here — at the transport, where the coordinator's
-  // retry-reassign path must absorb them — not in the compute.
+  // retry-reassign path must absorb them — not in the compute. Replies
+  // leave in task order whatever the fault, so FIFO matching holds.
   const auto ship = [&](const exec::ShardSession::Reply& reply) -> bool {
-    if (delay_ms > 0) {
-      enqueue_delayed(reply);
-      return !reply.close && !delay_dead.load(std::memory_order_acquire);
-    }
     switch (fault.matches(reply.shard_index) ? fault.mode
                                              : ShardFault::Mode::none) {
       case ShardFault::Mode::connreset: {
@@ -484,19 +422,16 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
         return false;
       }
       case ShardFault::Mode::slowdrain: {
-        // Half the reply, then a stall past any sane per-task deadline
-        // (sliced so shutdown is not held hostage), then the rest. The
-        // coordinator must give up mid-drain and reassign.
+        // Half the reply, then a stall past any sane per-task deadline,
+        // then the rest. The coordinator must give up mid-drain and
+        // reassign.
         HMDIV_OBS_COUNT("serve.shard.fault_slowdrain", 1);
         const std::size_t half = reply.bytes.size() / 2;
         if (!send_all(connection.fd,
                       reinterpret_cast<const char*>(reply.bytes.data()),
-                      half)) {
+                      half) ||
+            !stall(1500)) {
           return false;
-        }
-        for (int slice = 0; slice < 30; ++slice) {
-          if (stopping_.load(std::memory_order_acquire)) return false;
-          std::this_thread::sleep_for(std::chrono::milliseconds(50));
         }
         return send_all(connection.fd,
                         reinterpret_cast<const char*>(reply.bytes.data()) +
@@ -504,8 +439,11 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
                         reply.bytes.size() - half) &&
                !reply.close;
       }
+      case ShardFault::Mode::delay:
+        HMDIV_OBS_COUNT("serve.shard.fault_delay", 1);
+        if (!stall(fault.delay_ms)) return false;
+        break;
       case ShardFault::Mode::none:
-      case ShardFault::Mode::delay:  // handled above when delay_ms > 0
         break;
     }
     if (!reply.bytes.empty() &&
@@ -526,41 +464,23 @@ void Server::shard_loop(Connection& connection, std::string_view initial) {
     return true;
   };
 
-  const auto pump = [&] {
-    if (!initial.empty() &&
-        !consume(reinterpret_cast<const std::uint8_t*>(initial.data()),
-                 initial.size())) {
+  if (!initial.empty() &&
+      !consume(reinterpret_cast<const std::uint8_t*>(initial.data()),
+               initial.size())) {
+    return;
+  }
+  for (;;) {
+    pollfd fds[2] = {{connection.fd, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
+    if (poll_retry(fds, 2, -1) < 0) return;
+    if (stopping_.load(std::memory_order_acquire)) return;
+    if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    const ssize_t got = ::read(connection.fd, buffer, sizeof buffer);
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return;  // coordinator closed (normal end of a run)
+    if (!consume(reinterpret_cast<const std::uint8_t*>(buffer),
+                 static_cast<std::size_t>(got))) {
       return;
     }
-    for (;;) {
-      if (delay_dead.load(std::memory_order_acquire)) return;
-      pollfd fds[2] = {{connection.fd, POLLIN, 0},
-                       {wake_pipe_[0], POLLIN, 0}};
-      if (poll_retry(fds, 2, -1) < 0) return;
-      if (stopping_.load(std::memory_order_acquire)) return;
-      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const ssize_t got = ::read(connection.fd, buffer, sizeof buffer);
-      if (got < 0 && errno == EINTR) continue;
-      if (got <= 0) return;  // coordinator closed (normal end of a run)
-      if (!consume(reinterpret_cast<const std::uint8_t*>(buffer),
-                   static_cast<std::size_t>(got))) {
-        return;
-      }
-    }
-  };
-  pump();
-
-  // Drain the delayed sender before the socket closes: replies already
-  // produced must still reach the wire at their due times (shutdown
-  // aborts instead — the queue is dropped and the thread exits at once).
-  if (delay_sender.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(delay_mutex);
-      delay_stop = true;
-      if (stopping_.load(std::memory_order_acquire)) delay_abort = true;
-    }
-    delay_cv.notify_all();
-    delay_sender.join();
   }
 }
 

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "core/model_io.hpp"
-#include "exec/cluster.hpp"
 #include "exec/config.hpp"
 #include "exec/workspace.hpp"
 #include "stats/rng.hpp"
@@ -937,38 +936,6 @@ void Service::handle_metrics(const Loaded*, const Parsed&, RequestScratch&,
     out += '}';
   }
   out += '}';
-  // Per-worker cluster stats (DESIGN.md §15): empty until this process
-  // has coordinated a cluster run. Addresses are operator-supplied
-  // strings, so they go through the escaper like any other input.
-  const std::vector<exec::ClusterWorkerStats> workers =
-      exec::cluster_worker_stats();
-  out += ",\"workers\":[";
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const exec::ClusterWorkerStats& w = workers[i];
-    if (i != 0) out += ',';
-    out += "{\"address\":\"";
-    append_json_escaped(out, w.address);
-    out += "\",\"tasks\":";
-    append_json_uint(out, w.tasks);
-    out += ",\"bytes_out\":";
-    append_json_uint(out, w.bytes_out);
-    out += ",\"bytes_in\":";
-    append_json_uint(out, w.bytes_in);
-    out += ",\"retries\":";
-    append_json_uint(out, w.retries);
-    out += ",\"readmitted\":";
-    append_json_uint(out, w.readmitted);
-    out += ",\"inflight\":";
-    append_json_uint(out, w.inflight);
-    out += ",\"window\":";
-    append_json_uint(out, w.window);
-    out += ",\"task_size\":";
-    append_json_uint(out, w.task_size);
-    out += ",\"last_error\":\"";
-    append_json_escaped(out, w.last_error);
-    out += "\"}";
-  }
-  out += ']';
 }
 
 void Service::handle_reload(const Loaded*, const Parsed& request,

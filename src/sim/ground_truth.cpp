@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "stats/summary.hpp"
 
 namespace hmdiv::sim {
@@ -12,6 +13,7 @@ core::SequentialModel ground_truth_model(const FeatureWorld& world,
   if (samples_per_class == 0) {
     throw std::invalid_argument("ground_truth_model: samples_per_class == 0");
   }
+  HMDIV_OBS_SCOPED_TIMER("sim.ground_truth.model_ns");
   const CaseGenerator& generator = world.generator();
   const CadtModel& cadt = world.cadt();
   const ReaderModel& reader = world.reader();

@@ -119,14 +119,13 @@ void decode_records_into(std::span<const std::uint8_t> payload,
 }
 
 /// Worker side: rebuild the world, run this task's slice of the batch
-/// index space — a contiguous span of micro-shards — on the in-process
-/// engine, ship the records back.
+/// index space on the in-process engine, ship the records back.
 std::vector<std::uint8_t> handle_trial_shard(
     const exec::wire::ShardTask& task) {
   TrialShardConfig config = decode_blob(task.blob);
   TrialRunner runner(config.world, config.case_count);
-  const exec::wire::ShardRange range =
-      exec::wire::task_range(runner.batch_count(), task);
+  const exec::wire::ShardRange range = exec::wire::shard_range(
+      runner.batch_count(), task.shard_index, task.shard_count);
   return encode_records(runner.run_batches(config.seed, range.begin,
                                            range.end,
                                            exec::Config{task.threads}));
@@ -160,8 +159,8 @@ TrialData run_trial_clustered(const TabularWorld& world,
                               exec::ClusterRunner& cluster) {
   HMDIV_OBS_SCOPED_TIMER("sim.trial.cluster_ns");
   const std::vector<std::uint8_t> blob = encode_blob(world, case_count, seed);
-  // Items hint: batches are the substream grain, so the coordinator can
-  // micro-task at batch granularity.
+  // Batches are the substream grain, so the coordinator partitions at
+  // batch granularity.
   const std::uint64_t batches =
       (case_count + TrialRunner::kBatchSize - 1) / TrialRunner::kBatchSize;
   return merge_trial_payloads(world, case_count,

@@ -3,7 +3,7 @@
 // The "sim.trial" shard workload ships a (SequentialModel, DemandProfile,
 // case_count, seed) description to each worker as IEEE-754 bit patterns;
 // workers rebuild the world through the bit-exact from_normalised path,
-// run their wire::task_range slice of the fixed batch index space with
+// run their wire::shard_range slice of the fixed batch index space with
 // TrialRunner::run_batches, and return the per-case records. The
 // coordinator's concatenation (ascending shard order) is bit-identical to
 // TrialRunner::run(seed, config) in one process.

@@ -1,17 +1,16 @@
 // Tests for the multi-host cluster engine (DESIGN.md §15): the shared
 // host:port parse, the obs snapshot delta the workers ship, the worker-
-// side ShardSession state machine, the ClusterRunner coordinator against
-// real spawned hmdiv_serve daemons (bit-identity for every clustered
-// workload at several worker × shard compositions), transport-fault
-// reassignment (connection reset, slow drain past the task deadline, dead
-// workers), hostile worker replies, and the serve metrics `workers` array.
+// side ShardSession state machine, the coordinator's fixed partition, the
+// ClusterRunner coordinator against real spawned hmdiv_serve daemons
+// (bit-identity for every clustered workload over 1, 2 and 3 workers),
+// transport-fault reassignment (connection reset, slow drain past the task
+// deadline, injected reply delay, dead workers, re-admission) and hostile
+// worker replies.
 //
 // Daemon-backed tests spawn the real hmdiv_serve binary (HMDIV_SERVE_BIN,
-// exported by the test harness) on loopback ephemeral ports; they
-// self-skip under ThreadSanitizer (fork/exec of a threaded parent is
-// outside TSan's model) and when the binary is absent. The protocol
-// pieces, and the tests that serve from an in-process serve::Server,
-// always run.
+// exported by the test harness) on loopback ephemeral ports and self-skip
+// when the binary is absent. The protocol pieces, and the tests that serve
+// from an in-process serve::Server, always run.
 #include "exec/cluster.hpp"
 
 #include <gtest/gtest.h>
@@ -48,17 +47,6 @@
 #include "sim/trial_shard.hpp"
 #include "stats/rng.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define HMDIV_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HMDIV_TSAN 1
-#endif
-#endif
-#ifndef HMDIV_TSAN
-#define HMDIV_TSAN 0
-#endif
-
 namespace hmdiv {
 namespace {
 
@@ -74,9 +62,6 @@ const char* serve_binary() {
 
 #define HMDIV_REQUIRE_DAEMONS()                                          \
   do {                                                                   \
-    if (HMDIV_TSAN) {                                                    \
-      GTEST_SKIP() << "fork/exec daemons are not TSan-instrumentable";   \
-    }                                                                    \
     if (serve_binary() == nullptr) {                                     \
       GTEST_SKIP() << "HMDIV_SERVE_BIN not set";                         \
     }                                                                    \
@@ -148,14 +133,13 @@ class SpawnedDaemon {
   int port_ = 0;
 };
 
-exec::ClusterOptions cluster_options(std::vector<std::string> workers,
-                                     unsigned shards) {
+exec::ClusterOptions cluster_options(std::vector<std::string> workers) {
   exec::ClusterOptions options;
   options.workers = std::move(workers);
-  options.shards = shards;
   options.threads = 1;
   return options;
 }
+
 
 // --- reference fixtures ---------------------------------------------------
 
@@ -343,7 +327,7 @@ TEST(ClusterSessionTest, EchoTaskRoundTrips) {
   EXPECT_FALSE(replies[0].close);
   const auto frames = parse_reply(replies[0].bytes);
   // result + done (no obs frame when obs_enabled is false); the done
-  // frame's id echoes the task's span-start shard index so a pipelining
+  // frame's id echoes the task's shard index so a pipelining
   // coordinator can match it against its in-flight FIFO.
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, wire::FrameType::result);
@@ -418,7 +402,7 @@ TEST(ClusterSessionTest, SplitTaskFrameCompletesOnSecondChunk) {
 }
 
 TEST(ClusterSessionTest, PipelinedTasksReplyInOrderAtEveryChunking) {
-  // Three back-to-back task frames — the wire image of a window-3
+  // Three back-to-back task frames — the wire image of a pipelining
   // coordinator — fed at every fixed chunk size: the session must yield
   // the same three replies in arrival order, each closed by the matching
   // done frame, no matter where the read boundaries fall.
@@ -522,14 +506,27 @@ TEST(ClusterSessionTest, CachedTaskWithoutPriorBlobIsAnError) {
   EXPECT_EQ(frames[0].type, wire::FrameType::error);
 }
 
-// --- ClusterRunner shard resolution (no sockets) --------------------------
+// --- the fixed partition (no sockets) -------------------------------------
 
-TEST(ClusterRunnerTest, ResolvedShardsDefaultsToWorkerCount) {
-  exec::ClusterRunner runner(
-      cluster_options({"a:1", "b:1", "c:1"}, /*shards=*/0));
-  EXPECT_EQ(runner.resolved_shards(), 3u);
-  exec::ClusterRunner pinned(cluster_options({"a:1"}, /*shards=*/7));
-  EXPECT_EQ(pinned.resolved_shards(), 7u);
+TEST(ClusterShardCountTest, SixteenPerWorkerWithinTheItemsAndTheCeiling) {
+  for (const std::uint64_t items : {0ull, 1ull, 3ull, 1'000'000ull}) {
+    for (const std::size_t workers : {1u, 2u, 8u, 16u, 32u}) {
+      const std::uint32_t shards = exec::cluster_shard_count(items, workers);
+      EXPECT_GE(shards, 1u) << items << " items, " << workers << " workers";
+      EXPECT_LE(shards, wire::kMaxShards)
+          << items << " items, " << workers << " workers";
+      // Never more tasks than items; an empty workload still runs one.
+      EXPECT_LE(shards, std::max<std::uint64_t>(items, 1))
+          << items << " items, " << workers << " workers";
+    }
+  }
+  EXPECT_EQ(exec::cluster_shard_count(0, 2), 1u);
+  EXPECT_EQ(exec::cluster_shard_count(3, 8), 3u);
+  EXPECT_EQ(exec::cluster_shard_count(1'000'000, 1), 16u);
+  EXPECT_EQ(exec::cluster_shard_count(1'000'000, 2), 32u);
+  EXPECT_EQ(exec::cluster_shard_count(1'000'000, 8), 128u);
+  EXPECT_EQ(exec::cluster_shard_count(1'000'000, 16), 256u);
+  EXPECT_EQ(exec::cluster_shard_count(1'000'000, 32), 256u);
 }
 
 // --- ClusterRunner against real daemons -----------------------------------
@@ -538,24 +535,28 @@ TEST(ClusterRunnerTest, TrialIsBitIdenticalAcrossWorkersAndShards) {
   HMDIV_REQUIRE_DAEMONS();
   SpawnedDaemon a;
   SpawnedDaemon b;
+  SpawnedDaemon c;
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  constexpr std::uint64_t kCases = 20'000;
+  ASSERT_TRUE(c.ok());
+  const std::vector<std::string> fleet{a.address(), b.address(), c.address()};
+  // 49 batches: 16, 32 and 48 shards over 1, 2 and 3 workers.
+  constexpr std::uint64_t kCases = 200'000;
   constexpr std::uint64_t kSeed = 20030625;
   sim::TabularWorld world(core::paper::example_model(),
                           core::paper::trial_profile());
   const sim::TrialData reference =
       sim::TrialRunner(world, kCases).run(kSeed, exec::Config{2});
-  for (const unsigned shards : {2u, 5u}) {
-    exec::ClusterRunner cluster(
-        cluster_options({a.address(), b.address()}, shards));
+  for (std::size_t workers = 1; workers <= fleet.size(); ++workers) {
+    exec::ClusterRunner cluster(cluster_options(
+        {fleet.begin(), fleet.begin() + static_cast<std::ptrdiff_t>(workers)}));
     const sim::TrialData clustered =
         sim::run_trial_clustered(world, kCases, kSeed, cluster);
     ASSERT_EQ(clustered.records.size(), reference.records.size());
     for (std::size_t i = 0; i < reference.records.size(); ++i) {
       ASSERT_EQ(clustered.records[i].class_index,
                 reference.records[i].class_index)
-          << "shards " << shards << " case " << i;
+          << "workers " << workers << " case " << i;
       ASSERT_EQ(clustered.records[i].machine_failed,
                 reference.records[i].machine_failed);
       ASSERT_EQ(clustered.records[i].human_failed,
@@ -568,61 +569,55 @@ TEST(ClusterRunnerTest, SweepAndMinimiseAreBitIdentical) {
   HMDIV_REQUIRE_DAEMONS();
   SpawnedDaemon a;
   SpawnedDaemon b;
+  SpawnedDaemon c;
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(c.ok());
+  const std::vector<std::string> fleet{a.address(), b.address(), c.address()};
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
   const std::vector<double> thresholds = reference_thresholds(513);
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
   const auto best_reference =
       analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 999, exec::Config{2});
 
-  exec::ClusterRunner cluster(
-      cluster_options({a.address(), b.address()}, /*shards=*/3));
-  expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
-                      reference);
-  const auto best =
-      core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0, 999,
-                                    cluster);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(best.threshold),
-            std::bit_cast<std::uint64_t>(best_reference.threshold));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(best.system_fn),
-            std::bit_cast<std::uint64_t>(best_reference.system_fn));
+  for (std::size_t workers = 1; workers <= fleet.size(); ++workers) {
+    exec::ClusterRunner cluster(cluster_options(
+        {fleet.begin(), fleet.begin() + static_cast<std::ptrdiff_t>(workers)}));
+    // Every call is cut into exactly cluster_shard_count tasks, one
+    // micro-shard each, whatever the timing.
+    std::uint64_t tasks = 0;
+    const auto expect_tasks = [&](std::uint64_t items) {
+      std::uint64_t now = 0;
+      for (const auto& stats : cluster.worker_stats()) now += stats.tasks;
+      EXPECT_EQ(now - tasks, exec::cluster_shard_count(items, workers))
+          << "workers " << workers;
+      tasks = now;
+    };
+    expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
+                        reference);
+    expect_tasks(thresholds.size());
+    const auto best = core::minimise_cost_clustered(analyzer, 500.0, 20.0,
+                                                    -4.0, 4.0, 999, cluster);
+    expect_tasks(999);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best.threshold),
+              std::bit_cast<std::uint64_t>(best_reference.threshold));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(best.system_fn),
+              std::bit_cast<std::uint64_t>(best_reference.system_fn));
 
-  // Flat plateau: the earliest-grid-point tie rule must survive the
-  // network transport too.
-  const auto tie =
-      core::minimise_cost_clustered(analyzer, 0.0, 0.0, -4.0, 4.0, 999,
-                                    cluster);
-  EXPECT_EQ(tie.threshold, -4.0);
+    // Flat plateau: the earliest-grid-point tie rule must survive the
+    // network transport too.
+    const auto tie = core::minimise_cost_clustered(analyzer, 0.0, 0.0, -4.0,
+                                                   4.0, 999, cluster);
+    expect_tasks(999);
+    EXPECT_EQ(tie.threshold, -4.0);
 
-  // Both runs reused the same warm pool; nothing was retried.
-  for (const auto& stats : cluster.worker_stats()) {
-    EXPECT_EQ(stats.retries, 0u) << stats.address;
-    EXPECT_GT(stats.tasks, 0u) << stats.address;
+    // Every call reused the same warm pool; nothing was retried. (Which
+    // worker ran how many tasks depends on connect timing: a worker still
+    // handshaking while the others drain the queue may run none.)
+    for (const auto& stats : cluster.worker_stats()) {
+      EXPECT_EQ(stats.retries, 0u) << stats.address;
+    }
   }
-}
-
-TEST(ShardDeterminism, SweepHandlesFewerPointsThanShards) {
-  HMDIV_REQUIRE_DAEMONS();
-  SpawnedDaemon a;
-  SpawnedDaemon b;
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  // A grid shorter than the shard count: most tasks cover no points, and
-  // the merge must still reproduce the in-process sweep and scan.
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  exec::ClusterRunner wide(
-      cluster_options({a.address(), b.address()}, /*shards=*/8));
-  const std::vector<double> short_grid{-1.0, 0.0, 1.0};
-  expect_points_equal(core::sweep_clustered(analyzer, short_grid, wide),
-                      analyzer.sweep(short_grid, exec::Config{1}));
-  const auto short_best =
-      core::minimise_cost_clustered(analyzer, 500.0, 20.0, -4.0, 4.0, 3, wide);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(short_best.threshold),
-            std::bit_cast<std::uint64_t>(
-                analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, 3,
-                                       exec::Config{1})
-                    .threshold));
 }
 
 TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
@@ -642,8 +637,7 @@ TEST(ClusterRunnerTest, PosteriorDrawsAreBitIdenticalAndRngInLockstep) {
 
   std::vector<double> clustered(kDraws);
   stats::Rng clustered_rng(42);
-  exec::ClusterRunner cluster(
-      cluster_options({a.address(), b.address()}, /*shards=*/3));
+  exec::ClusterRunner cluster(cluster_options({a.address(), b.address()}));
   core::sample_failure_probabilities_clustered(sampler, field, clustered_rng,
                                                clustered, cluster);
   for (std::size_t i = 0; i < kDraws; ++i) {
@@ -669,9 +663,9 @@ TEST(ClusterRunnerTest, UnknownWorkloadAbortsWithClusterError) {
   HMDIV_REQUIRE_DAEMONS();
   SpawnedDaemon a;
   ASSERT_TRUE(a.ok());
-  exec::ClusterRunner cluster(cluster_options({a.address()}, /*shards=*/2));
+  exec::ClusterRunner cluster(cluster_options({a.address()}));
   const std::vector<std::uint8_t> blob{1, 2, 3};
-  EXPECT_THROW((void)cluster.run("no.such.workload", blob),
+  EXPECT_THROW((void)cluster.run("no.such.workload", blob, 2),
                exec::ClusterError);
 }
 
@@ -679,19 +673,18 @@ TEST(ClusterRunnerTest, MalformedBlobAbortsWithClusterError) {
   HMDIV_REQUIRE_DAEMONS();
   SpawnedDaemon a;
   ASSERT_TRUE(a.ok());
-  exec::ClusterRunner cluster(cluster_options({a.address()}, /*shards=*/2));
+  exec::ClusterRunner cluster(cluster_options({a.address()}));
   // A truncated core.sweep blob is a deterministic workload failure: no
   // reassignment can fix it, so the run must abort, not retry forever.
   const std::vector<std::uint8_t> garbage{9, 9, 9};
   EXPECT_THROW((void)cluster.run(std::string(core::kSweepShardWorkload),
-                                 garbage),
+                                 garbage, 2),
                exec::ClusterError);
 }
 
 TEST(ClusterRunnerTest, AllWorkersDeadThrowsClusterError) {
   HMDIV_REQUIRE_DAEMONS();
-  exec::ClusterOptions options =
-      cluster_options({"127.0.0.1:1"}, /*shards=*/2);
+  exec::ClusterOptions options = cluster_options({"127.0.0.1:1"});
   options.connect_timeout = 2s;
   exec::ClusterRunner cluster(std::move(options));
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
@@ -711,7 +704,7 @@ TEST(ClusterRunnerTest, DeadWorkerFailsOverToHealthyOne) {
   // Worker 0 is a connection-refused address: its initial task must be
   // re-issued to the live worker and the run still completes bit-exact.
   exec::ClusterOptions options =
-      cluster_options({"127.0.0.1:1", live.address()}, /*shards=*/3);
+      cluster_options({"127.0.0.1:1", live.address()});
   options.connect_timeout = 2s;
   exec::ClusterRunner cluster(std::move(options));
   expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
@@ -723,7 +716,7 @@ TEST(ClusterRunnerTest, DeadWorkerFailsOverToHealthyOne) {
   // tally tasks abandoned mid-flight (see the fault tests below).
   EXPECT_EQ(stats[0].tasks, 0u);
   EXPECT_FALSE(stats[0].last_error.empty());
-  EXPECT_EQ(stats[1].tasks, 3u);
+  EXPECT_EQ(stats[1].tasks, exec::cluster_shard_count(thresholds.size(), 2));
 }
 
 // --- hostile worker replies -----------------------------------------------
@@ -770,8 +763,8 @@ TEST(ClusterHostileReplyTest, TrialRecordCountBeyondThePayloadThrows) {
   serve::Server server(service);
   server.start();
   {
-    exec::ClusterRunner cluster(cluster_options(
-        {"127.0.0.1:" + std::to_string(server.port())}, /*shards=*/1));
+    exec::ClusterRunner cluster(
+        cluster_options({"127.0.0.1:" + std::to_string(server.port())}));
     const sim::TabularWorld world(core::paper::example_model(),
                                   core::paper::trial_profile());
     EXPECT_THROW((void)sim::run_trial_clustered(world, 1000, 1, cluster),
@@ -785,11 +778,12 @@ TEST(ClusterHostileReplyTest, TrialRecordCountBeyondThePayloadThrows) {
 TEST(ClusterFaultTest, ConnectionResetReassignsBitIdentical) {
   HMDIV_REQUIRE_DAEMONS();
   // The faulty daemon RSTs the connection instead of shipping its first
-  // reply, whichever task that is — '*' keeps the fault deterministic now
-  // that concurrent startup makes the task → worker mapping timing-
-  // dependent.
+  // reply, whichever task that is ('*': the task → worker mapping depends
+  // on connect timing). The clean daemon ships each reply 20 ms late, so
+  // it cannot drain the queue before the faulty one has connected and
+  // taken tasks.
   SpawnedDaemon faulty("connreset:*");
-  SpawnedDaemon clean;
+  SpawnedDaemon clean("delay:*:20");
   ASSERT_TRUE(faulty.ok());
   ASSERT_TRUE(clean.ok());
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
@@ -797,23 +791,26 @@ TEST(ClusterFaultTest, ConnectionResetReassignsBitIdentical) {
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
 
   exec::ClusterRunner cluster(
-      cluster_options({faulty.address(), clean.address()}, /*shards=*/4));
+      cluster_options({faulty.address(), clean.address()}));
   expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
                       reference);
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_GE(stats[0].retries, 1u);
   EXPECT_FALSE(stats[0].last_error.empty());
-  EXPECT_EQ(stats[1].tasks, 4u);  // the clean worker finished every shard
+  // The clean worker finished every shard.
+  EXPECT_EQ(stats[1].tasks, exec::cluster_shard_count(thresholds.size(), 2));
 }
 
 TEST(ClusterFaultTest, SlowDrainPastDeadlineReassignsBitIdentical) {
   HMDIV_REQUIRE_DAEMONS();
   // The faulty daemon ships half of every reply, then stalls for ~1.5 s —
   // far past the 500 ms task deadline, so the coordinator must drop it
-  // mid-frame and re-issue its tasks to the clean worker.
+  // mid-frame and re-issue its tasks to the clean worker. The clean
+  // daemon ships each reply 20 ms late, so it cannot drain the queue
+  // before the faulty one has connected and taken tasks.
   SpawnedDaemon faulty("slowdrain:*");
-  SpawnedDaemon clean;
+  SpawnedDaemon clean("delay:*:20");
   ASSERT_TRUE(faulty.ok());
   ASSERT_TRUE(clean.ok());
   const core::TradeoffAnalyzer analyzer = reference_analyzer();
@@ -821,7 +818,7 @@ TEST(ClusterFaultTest, SlowDrainPastDeadlineReassignsBitIdentical) {
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
 
   exec::ClusterOptions options =
-      cluster_options({faulty.address(), clean.address()}, /*shards=*/2);
+      cluster_options({faulty.address(), clean.address()});
   options.task_deadline = 500ms;
   exec::ClusterRunner cluster(std::move(options));
   expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
@@ -829,65 +826,15 @@ TEST(ClusterFaultTest, SlowDrainPastDeadlineReassignsBitIdentical) {
   const auto stats = cluster.worker_stats();
   ASSERT_EQ(stats.size(), 2u);
   EXPECT_GE(stats[0].retries, 1u);
-  EXPECT_EQ(stats[1].tasks, 2u);
+  EXPECT_EQ(stats[1].tasks, exec::cluster_shard_count(thresholds.size(), 2));
 }
 
-// --- pipelined windows, adaptive sizing, delay faults, readmission --------
-
-TEST(ClusterRunnerTest, WindowAndTaskSizingAreBitIdenticalAcrossDepths) {
-  HMDIV_REQUIRE_DAEMONS();
-  SpawnedDaemon a;
-  SpawnedDaemon b;
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  const core::TradeoffAnalyzer analyzer = reference_analyzer();
-  const std::vector<double> thresholds = reference_thresholds(513);
-  const auto reference = analyzer.sweep(thresholds, exec::Config{2});
-
-  constexpr std::uint64_t kCases = 20'000;
-  constexpr std::uint64_t kSeed = 20030625;
-  sim::TabularWorld world(core::paper::example_model(),
-                          core::paper::trial_profile());
-  const sim::TrialData trial_reference =
-      sim::TrialRunner(world, kCases).run(kSeed, exec::Config{2});
-
-  // Every window depth × shard-count composition — including shards=0,
-  // where the run picks its own adaptive micro-shard count from the
-  // items hint — must reproduce the in-process output bit for bit.
-  for (const unsigned window : {1u, 2u, 4u}) {
-    for (const unsigned shards : {0u, 7u}) {
-      exec::ClusterOptions options =
-          cluster_options({a.address(), b.address()}, shards);
-      options.window = window;
-      exec::ClusterRunner cluster(std::move(options));
-      expect_points_equal(
-          core::sweep_clustered(analyzer, thresholds, cluster), reference);
-      const sim::TrialData trial =
-          sim::run_trial_clustered(world, kCases, kSeed, cluster);
-      ASSERT_EQ(trial.records.size(), trial_reference.records.size())
-          << "window " << window << " shards " << shards;
-      for (std::size_t i = 0; i < trial.records.size(); ++i) {
-        ASSERT_EQ(trial.records[i].class_index,
-                  trial_reference.records[i].class_index)
-            << "window " << window << " shards " << shards << " case " << i;
-        ASSERT_EQ(trial.records[i].machine_failed,
-                  trial_reference.records[i].machine_failed);
-        ASSERT_EQ(trial.records[i].human_failed,
-                  trial_reference.records[i].human_failed);
-      }
-      for (const auto& stats : cluster.worker_stats()) {
-        EXPECT_EQ(stats.retries, 0u) << stats.address;
-        EXPECT_EQ(stats.window, std::max(1u, window)) << stats.address;
-      }
-    }
-  }
-}
+// --- delay faults, readmission --------------------------------------------
 
 TEST(ClusterFaultTest, DelayedRepliesStayBitIdentical) {
   HMDIV_REQUIRE_DAEMONS();
-  // Injected per-reply latency (the WAN emulation the pipeline exists to
-  // hide) must be invisible in the output: replies still arrive in FIFO
-  // order per connection, just later.
+  // Injected per-reply latency must be invisible in the output: replies
+  // still arrive in FIFO order per connection, just later.
   SpawnedDaemon delayed("delay:*:25");
   SpawnedDaemon clean;
   ASSERT_TRUE(delayed.ok());
@@ -896,10 +843,8 @@ TEST(ClusterFaultTest, DelayedRepliesStayBitIdentical) {
   const std::vector<double> thresholds = reference_thresholds(257);
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
 
-  exec::ClusterOptions options =
-      cluster_options({delayed.address(), clean.address()}, /*shards=*/0);
-  options.window = 4;
-  exec::ClusterRunner cluster(std::move(options));
+  exec::ClusterRunner cluster(
+      cluster_options({delayed.address(), clean.address()}));
   expect_points_equal(core::sweep_clustered(analyzer, thresholds, cluster),
                       reference);
   for (const auto& stats : cluster.worker_stats()) {
@@ -923,8 +868,7 @@ TEST(ClusterFaultTest, SidelinedWorkerIsReadmittedBitIdentical) {
   const auto reference = analyzer.sweep(thresholds, exec::Config{2});
 
   exec::ClusterOptions options =
-      cluster_options({faulty.address(), slow.address()}, /*shards=*/0);
-  options.window = 2;
+      cluster_options({faulty.address(), slow.address()});
   // Well under the run length: the slow worker needs several delayed
   // replies to drain the queue, so the probe fires while work remains.
   options.readmit_after = 30ms;
@@ -937,46 +881,6 @@ TEST(ClusterFaultTest, SidelinedWorkerIsReadmittedBitIdentical) {
   EXPECT_GE(stats[0].readmitted, 1u);
   EXPECT_FALSE(stats[0].last_error.empty());
   EXPECT_GT(stats[1].tasks, 0u);
-}
-
-// --- serve metrics `workers` array ----------------------------------------
-
-TEST(ClusterMetricsTest, WorkersArrayRendersInMetricsSnapshot) {
-  exec::ClusterWorkerStats worker;
-  worker.address = "10.0.0.1:9000";
-  worker.tasks = 3;
-  worker.bytes_out = 100;
-  worker.bytes_in = 200;
-  worker.retries = 1;
-  worker.readmitted = 2;
-  worker.inflight = 1;
-  worker.window = 4;
-  worker.task_size = 3;
-  worker.last_error = "connection \"reset\"";
-  exec::detail::set_cluster_worker_stats({worker});
-
-  serve::Service service(core::paper::example_model(),
-                         core::paper::trial_profile(),
-                         core::paper::field_profile(), {});
-  serve::RequestScratch scratch;
-  std::string out;
-  service.handle_line("{\"op\":\"metrics\",\"id\":1}", scratch, out);
-  EXPECT_NE(out.find("\"workers\":[{\"address\":\"10.0.0.1:9000\""),
-            std::string::npos)
-      << out;
-  EXPECT_NE(out.find("\"tasks\":3"), std::string::npos);
-  EXPECT_NE(out.find("\"retries\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"readmitted\":2"), std::string::npos);
-  EXPECT_NE(out.find("\"inflight\":1"), std::string::npos);
-  EXPECT_NE(out.find("\"window\":4"), std::string::npos);
-  EXPECT_NE(out.find("\"task_size\":3"), std::string::npos);
-  // last_error goes through the JSON escaper.
-  EXPECT_NE(out.find("connection \\\"reset\\\""), std::string::npos) << out;
-
-  exec::detail::set_cluster_worker_stats({});
-  out.clear();
-  service.handle_line("{\"op\":\"metrics\",\"id\":2}", scratch, out);
-  EXPECT_NE(out.find("\"workers\":[]"), std::string::npos) << out;
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // concurrent serve requests. Covers the single-threaded contract (exact
 // keying, FIFO eviction, capacity semantics, clear) and the concurrent
 // hit/miss surface the serve layer exercises: these tests run under the
-// ThreadSanitizer CI job (regex `EvalCache`), which is what pins the
-// absence of data races / torn reads in the sharded lookup path.
+// ThreadSanitizer CI job, which is what pins the absence of data races /
+// torn reads in the sharded lookup path.
 #include "core/eval_cache.hpp"
 
 #include <gtest/gtest.h>

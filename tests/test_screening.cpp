@@ -4,11 +4,13 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/obs.hpp"
 #include "screening/metrics.hpp"
 #include "screening/policies.hpp"
 #include "screening/population.hpp"
 #include "screening/programme.hpp"
 #include "sim/feature_world.hpp"
+#include "sim/ground_truth.hpp"
 
 namespace hmdiv::screening {
 namespace {
@@ -174,6 +176,29 @@ TEST(Programme, ComparePoliciesIsDeterministicInSeed) {
     EXPECT_EQ(a[i].counts.false_positives, b[i].counts.false_positives) << i;
   }
 }
+
+#if HMDIV_OBS
+TEST(Programme, ProfiledRunsRecordTheirSpans) {
+  // The spans `programme_comparison --profile` and its siblings print.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Histogram& programme =
+      obs::Registry::global().histogram("screening.programme.run_ns");
+  obs::Histogram& truth =
+      obs::Registry::global().histogram("sim.ground_truth.model_ns");
+  const std::uint64_t programme_before = programme.count();
+  const std::uint64_t truth_before = truth.count();
+  const auto world = fixture();
+  SingleReaderPolicy policy(world.reader());
+  stats::Rng rng(42);
+  (void)run_programme(PopulationGenerator::reference(0.01), policy, 100,
+                      CostModel{}, rng);
+  (void)sim::ground_truth_model(world, rng, 100);
+  obs::set_enabled(was_enabled);
+  EXPECT_EQ(programme.count(), programme_before + 1);
+  EXPECT_EQ(truth.count(), truth_before + 1);
+}
+#endif  // HMDIV_OBS
 
 TEST(Programme, RejectsZeroCases) {
   const auto world = fixture();

@@ -32,17 +32,6 @@
 #include "serve/server.hpp"
 #include "serve/service.hpp"
 
-#if defined(__SANITIZE_THREAD__)
-#define HMDIV_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define HMDIV_TSAN 1
-#endif
-#endif
-#ifndef HMDIV_TSAN
-#define HMDIV_TSAN 0
-#endif
-
 namespace hmdiv {
 namespace {
 
@@ -731,9 +720,6 @@ TEST(ServeServerTest, SendTimeoutToStuckPeerClosesAndCounts) {
 // --- the real binary under SIGTERM ----------------------------------------
 
 TEST(ServeServerTest, SigtermDrainsSpawnedDaemon) {
-  if (HMDIV_TSAN) {
-    GTEST_SKIP() << "fork/exec is not TSan-instrumentable";
-  }
   const char* binary = std::getenv("HMDIV_SERVE_BIN");
   if (binary == nullptr || *binary == '\0') {
     GTEST_SKIP() << "HMDIV_SERVE_BIN not set";

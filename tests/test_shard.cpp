@@ -1,5 +1,6 @@
-// Tests for the HMDF shard wire protocol (exec/shard_protocol.hpp) and for
-// the workload decoders' defences against hostile task blobs. The
+// Tests for the HMDF shard wire protocol (exec/shard_protocol.hpp), for
+// the workload decoders' defences against hostile task blobs, and for the
+// workers' handling of partitions a coordinator never cuts. The
 // bit-identity of every sharded workload is covered end to end by the
 // cluster suites in tests/test_cluster.cpp.
 #include "exec/shard_protocol.hpp"
@@ -9,15 +10,18 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/tradeoff.hpp"
 #include "core/tradeoff_shard.hpp"
 #include "core/uncertainty_shard.hpp"
 #include "exec/cluster_protocol.hpp"
+#include "exec/config.hpp"
 #include "sim/trial_shard.hpp"
 
 namespace hmdiv {
@@ -168,6 +172,101 @@ TEST(ShardHostileBlob, SweepAndMinimiseRejectOversizedGrids) {
   EXPECT_NO_THROW(run_handler(core::kMinimiseShardWorkload, legal.take()));
 }
 
+// --- Workers serve any partition ------------------------------------------
+
+/// Runs one task of `workload` through execute_shard_task and returns its
+/// result payload.
+std::vector<std::uint8_t> run_task(std::string_view workload,
+                                   std::span<const std::uint8_t> blob,
+                                   std::uint32_t shard, std::uint32_t shards) {
+  core::ensure_tradeoff_shard_registered();
+  wire::ShardTask task;
+  task.workload = std::string(workload);
+  task.shard_index = shard;
+  task.shard_count = shards;
+  task.blob.assign(blob.begin(), blob.end());
+  std::vector<std::uint8_t> out;
+  EXPECT_TRUE(exec::execute_shard_task(task, out));
+  wire::FrameParser parser;
+  parser.feed(out);
+  std::optional<wire::Frame> frame = parser.next();
+  if (!frame || frame->type != wire::FrameType::result) {
+    ADD_FAILURE() << workload << " shard " << shard << ": no result frame";
+    return {};
+  }
+  return std::move(frame->payload);
+}
+
+core::SystemOperatingPoint read_point(wire::Reader& r) {
+  core::SystemOperatingPoint p;
+  for (double* field :
+       {&p.threshold, &p.machine_fn, &p.machine_fp, &p.system_fn,
+        &p.system_fp, &p.sensitivity, &p.specificity, &p.recall_rate,
+        &p.ppv}) {
+    *field = r.f64();
+  }
+  return p;
+}
+
+TEST(ShardDeterminism, SweepHandlesFewerPointsThanShards) {
+  // A coordinator never cuts more shards than points, but a worker must
+  // still serve such a task: five of eight shards over a 3-point grid
+  // cover nothing, and the ascending-order merge must still reproduce the
+  // in-process sweep and scan. The analyzer is the one write_analyzer
+  // encodes.
+  const core::TradeoffAnalyzer analyzer(
+      core::BinormalMachine{{0.5}, {-2.0}},
+      core::DemandProfile({"only"}, {1.0}), {{0.1, 0.3}},
+      core::DemandProfile({"only"}, {1.0}), {{0.1, 0.3}}, 0.01);
+  const std::vector<double> grid{-1.0, 0.0, 1.0};
+  wire::Writer sweep_blob;
+  write_analyzer(sweep_blob);
+  sweep_blob.doubles(grid);
+  wire::Writer minimise_blob;
+  write_analyzer(minimise_blob);
+  for (const double v : {500.0, 20.0, -4.0, 4.0}) minimise_blob.f64(v);
+  minimise_blob.u64(grid.size());
+
+  constexpr std::uint32_t kShards = 8;
+  std::vector<core::SystemOperatingPoint> swept;
+  core::CostedOperatingPoint best;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    const std::vector<std::uint8_t> points =
+        run_task(core::kSweepShardWorkload, sweep_blob.data(), s, kShards);
+    wire::Reader r(points);
+    for (std::uint64_t n = r.u64(); n > 0; --n) swept.push_back(read_point(r));
+    EXPECT_TRUE(r.exhausted());
+
+    const std::vector<std::uint8_t> candidate = run_task(
+        core::kMinimiseShardWorkload, minimise_blob.data(), s, kShards);
+    wire::Reader c(candidate);
+    core::CostedOperatingPoint next;
+    next.valid = c.u8() != 0;
+    next.cost = c.f64();
+    next.point = read_point(c);
+    // The coordinator's fold: strict < keeps the earliest grid point.
+    if (!best.valid || (next.valid && next.cost < best.cost)) best = next;
+  }
+
+  const auto reference = analyzer.sweep(grid, exec::Config{1});
+  ASSERT_EQ(swept.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(swept[i].threshold),
+              std::bit_cast<std::uint64_t>(reference[i].threshold));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(swept[i].system_fn),
+              std::bit_cast<std::uint64_t>(reference[i].system_fn));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(swept[i].system_fp),
+              std::bit_cast<std::uint64_t>(reference[i].system_fp));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(swept[i].ppv),
+              std::bit_cast<std::uint64_t>(reference[i].ppv));
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(best.point.threshold),
+            std::bit_cast<std::uint64_t>(
+                analyzer.minimise_cost(500.0, 20.0, -4.0, 4.0, grid.size(),
+                                       exec::Config{1})
+                    .threshold));
+}
+
 TEST(ShardProtocol, FrameParserReassemblesByteByByte) {
   wire::Writer w;
   w.str("payload bytes");
@@ -242,27 +341,18 @@ TEST(ShardProtocol, TaskRejectsShardIndexOutOfRange) {
                wire::ProtocolError);
 }
 
-TEST(ShardProtocol, TaskSpanRoundTripsAndValidates) {
+TEST(ShardProtocol, CachedTaskRoundTripsAndValidates) {
   wire::ShardTask task;
   task.workload = "w";
   task.shard_index = 2;
   task.shard_count = 8;
-  task.span = 3;
   task.blob_cached = true;  // cached tasks carry no inline blob
   const wire::ShardTask back = wire::parse_task(wire::serialize_task(task));
-  EXPECT_EQ(back.span, 3u);
+  EXPECT_EQ(back.shard_index, 2u);
   EXPECT_TRUE(back.blob_cached);
   EXPECT_TRUE(back.blob.empty());
 
-  // A span of zero, a span running past the shard count, and a cached
-  // task that still carries an inline blob are all malformed.
-  task.span = 0;
-  EXPECT_THROW(static_cast<void>(wire::parse_task(wire::serialize_task(task))),
-               wire::ProtocolError);
-  task.span = 7;  // index 2 + span 7 > count 8
-  EXPECT_THROW(static_cast<void>(wire::parse_task(wire::serialize_task(task))),
-               wire::ProtocolError);
-  task.span = 3;
+  // A cached task that still carries an inline blob is malformed.
   task.blob = {1};
   EXPECT_THROW(static_cast<void>(wire::parse_task(wire::serialize_task(task))),
                wire::ProtocolError);
@@ -277,33 +367,6 @@ TEST(ShardProtocol, DoneFrameRoundTrips) {
   const std::vector<std::uint8_t> trailing{1, 0, 0, 0, 9};
   EXPECT_THROW(static_cast<void>(wire::parse_done(trailing)),
                wire::ProtocolError);
-}
-
-TEST(ShardProtocol, TaskRangeIsTheUnionOfItsMicroShards) {
-  // Nested cuts: a span-k task over micro-shards [s, s+k) must cover
-  // exactly the union of the k single-shard ranges — that is what lets
-  // the coordinator resize tasks without moving any partition boundary.
-  for (const std::uint64_t items : {0ull, 5ull, 97ull, 4097ull}) {
-    for (const std::uint32_t count : {1u, 4u, 16u}) {
-      for (std::uint32_t s = 0; s < count; ++s) {
-        for (std::uint32_t span = 1; s + span <= count; ++span) {
-          wire::ShardTask task;
-          task.shard_index = s;
-          task.shard_count = count;
-          task.span = span;
-          const wire::ShardRange range = wire::task_range(items, task);
-          EXPECT_EQ(range.begin, wire::shard_range(items, s, count).begin);
-          EXPECT_EQ(range.end,
-                    wire::shard_range(items, s + span - 1, count).end);
-          std::uint64_t covered = 0;
-          for (std::uint32_t k = 0; k < span; ++k) {
-            covered += wire::shard_range(items, s + k, count).size();
-          }
-          EXPECT_EQ(range.size(), covered);
-        }
-      }
-    }
-  }
 }
 
 TEST(ShardProtocol, FrameParserReassemblesAcrossEveryChunkBoundary) {

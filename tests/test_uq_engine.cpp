@@ -3,9 +3,6 @@
 // sample-and-evaluate posterior path, and its contracts — statistical
 // equivalence with the scalar reference, bit-identical results across
 // thread counts, zero steady-state heap allocations, and NaN propagation.
-//
-// Suite names deliberately start with Uncertainty/Bootstrap so the TSan CI
-// job (-R '…|Uncertainty|Bootstrap') runs all of them.
 #include "core/uncertainty.hpp"
 
 #include <gtest/gtest.h>
