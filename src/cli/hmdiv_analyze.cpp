@@ -47,7 +47,6 @@
 #include "sim/tabular_world.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/rng.hpp"
-#include "stats/special.hpp"
 
 namespace {
 
@@ -187,22 +186,7 @@ void run_profiling_workload(const core::SequentialModel& model,
   // Sweep phase: the binormal machine implied by each class's PMf at
   // threshold 0 (mu = -probit(PMf)), swept across operating thresholds,
   // plus a cost-minimising grid search.
-  core::BinormalMachine machine;
-  std::vector<core::HumanFnResponse> fn_response;
-  std::vector<core::HumanFpResponse> fp_response;
-  for (std::size_t x = 0; x < model.class_count(); ++x) {
-    const auto& p = model.parameters(x);
-    // Clamp away from {0,1} so degenerate models still yield a finite mean.
-    const double p_mf = std::min(std::max(p.p_machine_fails, 1e-9),
-                                 1.0 - 1e-9);
-    machine.cancer_class_means.push_back(-stats::normal_quantile(p_mf));
-    machine.normal_class_means.push_back(-2.0);
-    fn_response.push_back({p.p_human_fails_given_machine_succeeds,
-                           p.p_human_fails_given_machine_fails});
-    fp_response.push_back({0.1, 0.02});
-  }
-  const core::TradeoffAnalyzer analyzer(machine, field, fn_response, field,
-                                        fp_response, /*prevalence=*/0.007);
+  const core::TradeoffAnalyzer analyzer = core::binormal_tradeoff(model, field);
   std::vector<double> thresholds(grid_steps);
   for (std::size_t i = 0; i < thresholds.size(); ++i) {
     thresholds[i] = -4.0 + 8.0 * static_cast<double>(i) /

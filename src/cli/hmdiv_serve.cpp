@@ -4,8 +4,7 @@
 //   hmdiv_serve --model MODEL_FILE --trial PROFILE_FILE --field PROFILE_FILE
 //               [--bind HOST:PORT] [--port N] [--address A] [--max-queue N]
 //               [--max-concurrent N] [--max-conns N] [--threads N]
-//               [--deadline-ms N] [--whatif-cache N] [--sweep-cache N]
-//               [--no-obs]
+//               [--deadline-ms N] [--no-obs]
 //   hmdiv_serve --example [--port N] ...
 //
 // Protocol: newline-delimited JSON (one request object per line; see
@@ -48,7 +47,6 @@ using namespace hmdiv;
          "                   [--max-queue N]\n"
          "                   [--max-concurrent N] [--max-conns N]\n"
          "                   [--threads N] [--deadline-ms N]\n"
-         "                   [--whatif-cache N] [--sweep-cache N]\n"
          "                   [--no-obs]\n"
          "       hmdiv_serve --example [--port N] ...\n"
          "\n"
@@ -66,9 +64,7 @@ using namespace hmdiv;
          "--threads N is the per-request compute thread budget (default\n"
          "1; requests are already parallel across connections).\n"
          "--deadline-ms N is the default per-request deadline (default\n"
-         "1000).\n"
-         "--whatif-cache/--sweep-cache N size the shared result caches\n"
-         "(entries; 0 disables). --no-obs disables the serve.* metrics.\n";
+         "1000). --no-obs disables the serve.* metrics.\n";
   std::exit(exit_code);
 }
 
@@ -141,12 +137,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--deadline-ms") {
       service_options.default_deadline_ms = cli::parse_bounded_ulong(
           "hmdiv_serve", "--deadline-ms", next(i), 1, 86'400'000);
-    } else if (arg == "--whatif-cache") {
-      service_options.whatif_cache_capacity = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--whatif-cache", next(i), 0, 10'000'000);
-    } else if (arg == "--sweep-cache") {
-      service_options.sweep_cache_capacity = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--sweep-cache", next(i), 0, 1'000'000);
     } else if (arg == "--no-obs") {
       obs_enabled = false;
     } else if (arg == "--help" || arg == "-h") {

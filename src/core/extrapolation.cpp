@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/obs.hpp"
-
 namespace hmdiv::core {
 
 Extrapolator::Extrapolator(SequentialModel trial_model,
@@ -44,55 +42,12 @@ SequentialModel Extrapolator::transformed_model(
   return m;
 }
 
-std::vector<double> Extrapolator::scenario_key(
-    const Scenario& scenario) const {
-  std::vector<double> key;
-  const std::size_t profile_terms =
-      scenario.profile.has_value() ? scenario.profile->class_count() : 0;
-  key.reserve(4 + 2 * scenario.per_class_machine_factors.size() +
-              profile_terms);
-  key.push_back(scenario.reader_failure_factor);
-  key.push_back(scenario.machine_failure_factor);
-  // Length prefixes keep variable-size sections from aliasing each other.
-  key.push_back(
-      static_cast<double>(scenario.per_class_machine_factors.size()));
-  for (const auto& [class_index, factor] :
-       scenario.per_class_machine_factors) {
-    key.push_back(static_cast<double>(class_index));
-    key.push_back(factor);
-  }
-  if (scenario.profile.has_value()) {
-    key.push_back(1.0);
-    for (std::size_t x = 0; x < scenario.profile->class_count(); ++x) {
-      key.push_back((*scenario.profile)[x]);
-    }
-  } else {
-    key.push_back(0.0);  // trial profile: fixed for this Extrapolator
-  }
-  return key;
-}
-
-void Extrapolator::set_eval_cache_capacity(std::size_t capacity) const {
-  eval_cache_.set_capacity(capacity);
-}
-
 ScenarioResult Extrapolator::evaluate(const Scenario& scenario) const {
   const DemandProfile& profile =
       scenario.profile.has_value() ? *scenario.profile : profile_;
   if (!model_.compatible_with(profile)) {
     throw std::invalid_argument(
         "Extrapolator: scenario profile classes do not match model classes");
-  }
-  const bool cached = eval_cache_.enabled();
-  std::vector<double> key;
-  if (cached) {
-    key = scenario_key(scenario);
-    if (std::optional<ScenarioResult> hit = eval_cache_.find(key)) {
-      HMDIV_OBS_COUNT("core.whatif.cache_hit", 1);
-      hit->name = scenario.name;
-      return *std::move(hit);
-    }
-    HMDIV_OBS_COUNT("core.whatif.cache_miss", 1);
   }
   const SequentialModel m = transformed_model(scenario);
   ScenarioResult out;
@@ -101,7 +56,6 @@ ScenarioResult Extrapolator::evaluate(const Scenario& scenario) const {
   out.machine_failure = m.machine_failure_probability(profile);
   out.failure_floor = m.failure_floor(profile);
   out.decomposition = m.decompose(profile);
-  if (cached) eval_cache_.insert(std::move(key), out);
   return out;
 }
 

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/demand_profile.hpp"
-#include "core/eval_cache.hpp"
 #include "core/sequential_model.hpp"
 
 namespace hmdiv::core {
@@ -63,18 +62,8 @@ class Extrapolator {
   /// Eq. (8) under a different profile, no other change.
   [[nodiscard]] double predict_for_profile(const DemandProfile& field) const;
 
-  /// Applies the scenario transforms and evaluates. When the what-if cache
-  /// is enabled (set_eval_cache_capacity > 0), a repeated query — identical
-  /// transforms and identical profile probabilities — returns the memoised
-  /// ScenarioResult (relabelled with this scenario's name) and counts
-  /// core.whatif.cache_hit; misses count core.whatif.cache_miss.
+  /// Applies the scenario transforms and evaluates.
   [[nodiscard]] ScenarioResult evaluate(const Scenario& scenario) const;
-
-  /// Enables the scenario evaluation cache with room for `capacity` results
-  /// (FIFO eviction); 0 (the default) disables it. The cache is keyed on
-  /// the numeric transforms and profile probabilities only — the scenario
-  /// name is a label and never affects the key.
-  void set_eval_cache_capacity(std::size_t capacity) const;
 
   /// Evaluates a batch of scenarios (convenience for benches/examples).
   [[nodiscard]] std::vector<ScenarioResult> evaluate_all(
@@ -90,15 +79,9 @@ class Extrapolator {
  private:
   [[nodiscard]] SequentialModel transformed_model(
       const Scenario& scenario) const;
-  /// Flat encoding of everything evaluate() depends on (factors, per-class
-  /// overrides, profile probabilities). The trial profile is encoded as a
-  /// marker only — it is fixed for this Extrapolator's lifetime.
-  [[nodiscard]] std::vector<double> scenario_key(
-      const Scenario& scenario) const;
 
   SequentialModel model_;
   DemandProfile profile_;
-  mutable EvalCache<ScenarioResult> eval_cache_;
 };
 
 }  // namespace hmdiv::core

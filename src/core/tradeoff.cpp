@@ -1,5 +1,6 @@
 #include "core/tradeoff.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -227,23 +228,11 @@ void TradeoffAnalyzer::sweep_into(std::span<const double> thresholds,
       config);
 }
 
-void TradeoffAnalyzer::set_sweep_cache_capacity(std::size_t capacity) const {
-  sweep_cache_.set_capacity(capacity);
-}
-
 std::vector<SystemOperatingPoint> TradeoffAnalyzer::sweep(
     const std::vector<double>& thresholds,
     const exec::Config& config) const {
-  if (sweep_cache_.enabled()) {
-    if (auto hit = sweep_cache_.find(thresholds)) {
-      HMDIV_OBS_COUNT("core.sweep.cache_hit", 1);
-      return *std::move(hit);
-    }
-    HMDIV_OBS_COUNT("core.sweep.cache_miss", 1);
-  }
   std::vector<SystemOperatingPoint> out(thresholds.size());
   sweep_into(thresholds, out, config);
-  if (sweep_cache_.enabled()) sweep_cache_.insert(thresholds, out);
   return out;
 }
 
@@ -321,6 +310,26 @@ CostedOperatingPoint TradeoffAnalyzer::minimise_cost_range(
     }
   }
   return best;
+}
+
+TradeoffAnalyzer binormal_tradeoff(const SequentialModel& model,
+                                   const DemandProfile& field) {
+  BinormalMachine machine;
+  std::vector<HumanFnResponse> fn_response;
+  std::vector<HumanFpResponse> fp_response;
+  for (std::size_t x = 0; x < model.class_count(); ++x) {
+    const auto& p = model.parameters(x);
+    const double p_mf =
+        std::min(std::max(p.p_machine_fails, 1e-9), 1.0 - 1e-9);
+    machine.cancer_class_means.push_back(-stats::normal_quantile(p_mf));
+    machine.normal_class_means.push_back(-2.0);
+    fn_response.push_back({p.p_human_fails_given_machine_succeeds,
+                           p.p_human_fails_given_machine_fails});
+    fp_response.push_back({0.1, 0.02});
+  }
+  return TradeoffAnalyzer(std::move(machine), field, std::move(fn_response),
+                          field, std::move(fp_response),
+                          /*prevalence=*/0.007);
 }
 
 }  // namespace hmdiv::core

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "core/demand_profile.hpp"
-#include "core/eval_cache.hpp"
+#include "core/sequential_model.hpp"
 #include "exec/config.hpp"
 
 namespace hmdiv::core {
@@ -116,8 +116,6 @@ class TradeoffAnalyzer {
   /// Evaluates every threshold; points come back in input order. The
   /// sweep runs on the exec engine (each point is independent), so large
   /// curves scale with the thread budget.
-  /// When a sweep cache is enabled (set_sweep_cache_capacity), identical
-  /// repeated grids are served from the cache.
   [[nodiscard]] std::vector<SystemOperatingPoint> sweep(
       const std::vector<double>& thresholds,
       const exec::Config& config = exec::default_config()) const;
@@ -125,17 +123,10 @@ class TradeoffAnalyzer {
   /// Zero-allocation sweep into caller-provided storage (the engine under
   /// sweep()). Chunks of the grid are dispatched to evaluate_batch in
   /// parallel; after per-thread workspace warm-up the steady state does no
-  /// heap allocation. Bypasses the sweep cache. Requires
-  /// out.size() == thresholds.size().
+  /// heap allocation. Requires out.size() == thresholds.size().
   void sweep_into(std::span<const double> thresholds,
                   std::span<SystemOperatingPoint> out,
                   const exec::Config& config = exec::default_config()) const;
-
-  /// Enables (capacity > 0) or disables (0, the default) the keyed sweep
-  /// cache used by sweep() for repeated what-if grids. The cache keys on
-  /// the full threshold vector (hash + exact contents) and evicts oldest
-  /// entries first. Thread-safe.
-  void set_sweep_cache_capacity(std::size_t capacity) const;
 
   /// Threshold minimising expected cost
   /// cost = prevalence·cost_fn·system_fn + (1−prevalence)·cost_fp·system_fp
@@ -196,11 +187,17 @@ class TradeoffAnalyzer {
   std::vector<double> normal_weight_;
   std::vector<double> fp_prompted_;
   std::vector<double> fp_silent_;
-
-  // Keyed evaluation cache for repeated what-if sweeps; disabled (capacity
-  // 0) by default so benches and the zero-alloc path stay honest. The
-  // threshold grid is the key (hash + exact contents, see EvalCache).
-  mutable EvalCache<std::vector<SystemOperatingPoint>> sweep_cache_;
 };
+
+/// The trade-off analyser that `hmdiv_analyze --profile` and the daemon's
+/// sweep / minimise endpoints derive from a sequential model: a binormal
+/// machine with mu(x) = -probit(PMf(x)) per class (so the threshold-0
+/// operating point reproduces the model's PMf; PMf is clamped away from
+/// {0,1} so degenerate models still yield finite means) and mean -2 on
+/// every normal class; the model's human conditionals on the cancer side;
+/// a fixed P(recall | prompted / silent) = (0.1, 0.02) on the normal side;
+/// `field` as both class mixes; prevalence 0.007.
+[[nodiscard]] TradeoffAnalyzer binormal_tradeoff(const SequentialModel& model,
+                                                 const DemandProfile& field);
 
 }  // namespace hmdiv::core

@@ -10,7 +10,6 @@
 #include "exec/config.hpp"
 #include "exec/workspace.hpp"
 #include "stats/rng.hpp"
-#include "stats/special.hpp"
 
 namespace hmdiv::serve {
 
@@ -30,6 +29,15 @@ struct RequestError {
 /// clock read, small enough that an expired request dies within ~ms.
 constexpr std::size_t kSweepChunk = 2048;
 constexpr std::size_t kMinimiseChunk = 8192;
+
+/// Cap on the deadline a request may ask for.
+constexpr std::uint64_t kMaxDeadlineMs = 60'000;
+/// Input bounds on the expensive endpoints.
+constexpr std::uint64_t kMaxSweepSteps = 100'000;
+constexpr std::uint64_t kMaxUqDraws = 100'000;
+constexpr std::size_t kMaxCompareScenarios = 32;
+/// Synthetic per-class trial size behind the uq endpoint's posterior.
+constexpr std::uint64_t kUqCasesPerClass = 2000;
 
 void check_deadline(Service::Clock::time_point deadline) {
   if (Service::Clock::now() >= deadline) {
@@ -178,45 +186,12 @@ Service::endpoint_table() {
 
 namespace {
 
-/// The trade-off machine implied by each class's PMf at threshold 0
-/// (mu = -probit(PMf)) — mirrors the hmdiv_analyze profiling workload so
-/// serve answers match the CLI's.
-[[nodiscard]] core::BinormalMachine machine_for(
-    const core::SequentialModel& model) {
-  core::BinormalMachine machine;
-  for (std::size_t x = 0; x < model.class_count(); ++x) {
-    const double p_mf = std::min(
-        std::max(model.parameters(x).p_machine_fails, 1e-9), 1.0 - 1e-9);
-    machine.cancer_class_means.push_back(-stats::normal_quantile(p_mf));
-    machine.normal_class_means.push_back(-2.0);
-  }
-  return machine;
-}
-
-[[nodiscard]] std::vector<core::HumanFnResponse> fn_response_for(
-    const core::SequentialModel& model) {
-  std::vector<core::HumanFnResponse> response;
-  for (std::size_t x = 0; x < model.class_count(); ++x) {
-    const auto& p = model.parameters(x);
-    response.push_back({p.p_human_fails_given_machine_succeeds,
-                        p.p_human_fails_given_machine_fails});
-  }
-  return response;
-}
-
-[[nodiscard]] std::vector<core::HumanFpResponse> fp_response_for(
-    const core::SequentialModel& model) {
-  return std::vector<core::HumanFpResponse>(model.class_count(),
-                                            {0.1, 0.02});
-}
-
-/// Synthetic per-class trial counts at the configured trial size, so the
-/// uq endpoint has a posterior even when no real counts were supplied.
+/// Synthetic per-class trial counts at kUqCasesPerClass cases, so the uq
+/// endpoint has a posterior even when no real counts were supplied.
 [[nodiscard]] std::vector<core::ClassCounts> synthetic_counts_for(
-    const core::SequentialModel& model, const ServiceOptions& options) {
+    const core::SequentialModel& model) {
   std::vector<core::ClassCounts> counts;
-  const std::uint64_t cases =
-      std::max<std::uint64_t>(1, options.uq_cases_per_class);
+  const std::uint64_t cases = kUqCasesPerClass;
   for (std::size_t x = 0; x < model.class_count(); ++x) {
     const auto& p = model.parameters(x);
     core::ClassCounts c;
@@ -242,9 +217,8 @@ namespace {
 
 }  // namespace
 
-// The derived engines are constructed in place (Extrapolator and
-// TradeoffAnalyzer carry mutex-bearing caches, so they are deliberately
-// immovable); the ctor copies from the already-moved-in model/profiles.
+// Members initialise in declaration order, so the derived engines are
+// built from the already-moved-in model and profiles.
 struct Service::Loaded {
   core::SequentialModel model;
   core::DemandProfile trial;
@@ -254,19 +228,18 @@ struct Service::Loaded {
   core::PosteriorModelSampler sampler;
 
   Loaded(core::SequentialModel model_in, core::DemandProfile trial_in,
-         core::DemandProfile field_in, const ServiceOptions& options)
+         core::DemandProfile field_in)
       : model(std::move(model_in)),
         trial(std::move(trial_in)),
         field(std::move(field_in)),
         extrapolator(model, trial),
-        analyzer(machine_for(model), field, fn_response_for(model), field,
-                 fp_response_for(model), /*prevalence=*/0.007),
-        sampler(model.class_names(), synthetic_counts_for(model, options)) {}
+        analyzer(core::binormal_tradeoff(model, field)),
+        sampler(model.class_names(), synthetic_counts_for(model)) {}
 };
 
 std::unique_ptr<Service::Loaded> Service::build_loaded(
     core::SequentialModel model, core::DemandProfile trial,
-    core::DemandProfile field, const ServiceOptions& options) {
+    core::DemandProfile field) {
   if (!model.compatible_with(trial)) {
     throw std::invalid_argument(
         "trial profile is not defined over the model's classes");
@@ -276,7 +249,7 @@ std::unique_ptr<Service::Loaded> Service::build_loaded(
         "field profile is not defined over the model's classes");
   }
   return std::make_unique<Loaded>(std::move(model), std::move(trial),
-                                  std::move(field), options);
+                                  std::move(field));
 }
 
 Service::Service(core::SequentialModel model, core::DemandProfile trial,
@@ -288,12 +261,7 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
              options.max_queue}),
       started_(Clock::now()),
       state_(build_loaded(std::move(model), std::move(trial),
-                          std::move(field), options)) {
-  whatif_cache_.set_capacity(options_.whatif_cache_capacity);
-  sweep_cache_.set_capacity(options_.sweep_cache_capacity);
-  minimise_cache_.set_capacity(options_.minimise_cache_capacity);
-  uq_cache_.set_capacity(options_.uq_cache_capacity);
-
+                          std::move(field))) {
   // Pre-register every endpoint metric so the hot path bumps cached
   // pointers instead of hitting the registry's name lookup per request.
   obs::Registry& registry = obs::Registry::global();
@@ -324,8 +292,8 @@ void Service::clear_caches() {
 void Service::reload(core::SequentialModel model, core::DemandProfile trial,
                      core::DemandProfile field) {
   // Build outside the lock (may throw; current state stays untouched).
-  std::unique_ptr<Loaded> next = build_loaded(
-      std::move(model), std::move(trial), std::move(field), options_);
+  std::unique_ptr<Loaded> next =
+      build_loaded(std::move(model), std::move(trial), std::move(field));
   const std::unique_lock<std::shared_mutex> lock(state_mutex_);
   state_ = std::move(next);
   epoch_.fetch_add(1, std::memory_order_acq_rel);
@@ -391,8 +359,8 @@ void Service::validate_request(Parsed& request) const {
       throw RequestError{kBadRequest,
                          "deadline_ms must be a positive integer"};
     }
-    deadline_ms = dl->number >= static_cast<double>(options_.max_deadline_ms)
-                      ? options_.max_deadline_ms
+    deadline_ms = dl->number >= static_cast<double>(kMaxDeadlineMs)
+                      ? kMaxDeadlineMs
                       : static_cast<std::uint64_t>(dl->number);
   }
   request.deadline = request.t0 + std::chrono::milliseconds(deadline_ms);
@@ -552,37 +520,41 @@ Service::WhatifRequest Service::resolve_whatif(const Loaded& state,
   return WhatifRequest{reader_factor, machine_factor, use_field};
 }
 
+template <typename Value, typename Compute>
+Value Service::memoised(Endpoint ep, EvalCache<Value>& cache,
+                        std::span<const double> key, bool& cached,
+                        Compute&& compute) const {
+  const std::optional<Value> hit = cache.find(key);
+  cached = hit.has_value();
+  if (obs::enabled()) {
+    (cached ? metrics_[ep].cache_hit : metrics_[ep].cache_miss)->add(1);
+  }
+  if (cached) return *hit;
+  const Value value = compute();
+  cache.insert(key, value);
+  return value;
+}
+
 Service::WhatifNumbers Service::compute_whatif(const Loaded& state,
                                                const JsonValue& spec,
                                                RequestScratch& scratch,
                                                bool& cached) const {
-  const bool obs_on = obs::enabled();
   const WhatifRequest request = resolve_whatif(state, spec, scratch);
-
-  if (const std::optional<WhatifNumbers> hit =
-          whatif_cache_.find(std::span<const double>(scratch.key))) {
-    cached = true;
-    if (obs_on) metrics_[kWhatif].cache_hit->add(1);
-    return *hit;
-  }
-  cached = false;
-  if (obs_on) metrics_[kWhatif].cache_miss->add(1);
-
-  core::Scenario scenario;
-  scenario.reader_failure_factor = request.reader_factor;
-  scenario.machine_failure_factor = request.machine_factor;
-  scenario.per_class_machine_factors.assign(scratch.class_factors.begin(),
-                                            scratch.class_factors.end());
-  if (request.use_field) scenario.profile = state.field;
-  const core::ScenarioResult result = state.extrapolator.evaluate(scenario);
-  const WhatifNumbers numbers{result.system_failure,
-                              result.machine_failure,
-                              result.failure_floor,
-                              result.decomposition.floor,
-                              result.decomposition.mean_field,
-                              result.decomposition.covariance};
-  whatif_cache_.insert(std::span<const double>(scratch.key), numbers);
-  return numbers;
+  return memoised(kWhatif, whatif_cache_, scratch.key, cached, [&] {
+    core::Scenario scenario;
+    scenario.reader_failure_factor = request.reader_factor;
+    scenario.machine_failure_factor = request.machine_factor;
+    scenario.per_class_machine_factors.assign(scratch.class_factors.begin(),
+                                              scratch.class_factors.end());
+    if (request.use_field) scenario.profile = state.field;
+    const core::ScenarioResult result = state.extrapolator.evaluate(scenario);
+    return WhatifNumbers{result.system_failure,
+                         result.machine_failure,
+                         result.failure_floor,
+                         result.decomposition.floor,
+                         result.decomposition.mean_field,
+                         result.decomposition.covariance};
+  });
 }
 
 void Service::append_whatif_body(std::string& out,
@@ -616,11 +588,10 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
                            RequestScratch& scratch, std::string& out) {
   const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
-  const bool obs_on = obs::enabled();
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const std::size_t steps = static_cast<std::size_t>(
-      uint_param(p, "steps", 256, 2, options_.max_sweep_steps));
+      uint_param(p, "steps", 256, 2, kMaxSweepSteps));
   const std::size_t points = static_cast<std::size_t>(
       uint_param(p, "points", 17, 2, kMaxSweepPoints));
   const double lo = number_param(p, "lo", -4.0);
@@ -633,39 +604,32 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
   scratch.key.push_back(static_cast<double>(steps));
   scratch.key.push_back(static_cast<double>(points));
 
-  bool cached = true;
-  std::optional<SweepSummary> summary =
-      sweep_cache_.find(std::span<const double>(scratch.key));
-  if (obs_on) {
-    (summary ? metrics_[kSweep].cache_hit : metrics_[kSweep].cache_miss)
-        ->add(1);
-  }
-  if (!summary) {
-    cached = false;
-    exec::Workspace& workspace = exec::thread_workspace();
-    const std::span<double> thresholds = workspace.alloc<double>(steps);
-    for (std::size_t i = 0; i < steps; ++i) {
-      thresholds[i] = lo + (hi - lo) * static_cast<double>(i) /
-                               static_cast<double>(steps - 1);
-    }
-    const std::span<core::SystemOperatingPoint> curve =
-        workspace.alloc<core::SystemOperatingPoint>(steps);
-    const exec::Config config{options_.compute_threads};
-    for (std::size_t first = 0; first < steps; first += kSweepChunk) {
-      check_deadline(deadline);
-      const std::size_t count = std::min(kSweepChunk, steps - first);
-      state.analyzer.sweep_into(thresholds.subspan(first, count),
-                                curve.subspan(first, count), config);
-    }
-    SweepSummary built;
-    built.point_count = static_cast<std::uint32_t>(points);
-    for (std::size_t j = 0; j < points; ++j) {
-      const std::size_t index = j * (steps - 1) / (points - 1);
-      built.points[j] = curve[index];
-    }
-    sweep_cache_.insert(std::span<const double>(scratch.key), built);
-    summary = built;
-  }
+  bool cached = false;
+  const SweepSummary summary =
+      memoised(kSweep, sweep_cache_, scratch.key, cached, [&] {
+        exec::Workspace& workspace = exec::thread_workspace();
+        const std::span<double> thresholds = workspace.alloc<double>(steps);
+        for (std::size_t i = 0; i < steps; ++i) {
+          thresholds[i] = lo + (hi - lo) * static_cast<double>(i) /
+                                   static_cast<double>(steps - 1);
+        }
+        const std::span<core::SystemOperatingPoint> curve =
+            workspace.alloc<core::SystemOperatingPoint>(steps);
+        const exec::Config config{options_.compute_threads};
+        for (std::size_t first = 0; first < steps; first += kSweepChunk) {
+          check_deadline(deadline);
+          const std::size_t count = std::min(kSweepChunk, steps - first);
+          state.analyzer.sweep_into(thresholds.subspan(first, count),
+                                    curve.subspan(first, count), config);
+        }
+        SweepSummary built;
+        built.point_count = static_cast<std::uint32_t>(points);
+        for (std::size_t j = 0; j < points; ++j) {
+          const std::size_t index = j * (steps - 1) / (points - 1);
+          built.points[j] = curve[index];
+        }
+        return built;
+      });
 
   out += "\"steps\":";
   append_json_uint(out, steps);
@@ -674,9 +638,9 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
   out += ",\"hi\":";
   append_json_number(out, hi);
   out += ",\"points\":[";
-  for (std::uint32_t j = 0; j < summary->point_count; ++j) {
+  for (std::uint32_t j = 0; j < summary.point_count; ++j) {
     if (j != 0) out += ',';
-    append_operating_point(out, summary->points[j]);
+    append_operating_point(out, summary.points[j]);
   }
   out += "],\"cached\":";
   out += cached ? "true" : "false";
@@ -686,7 +650,6 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
                               RequestScratch& scratch, std::string& out) {
   const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
-  const bool obs_on = obs::enabled();
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const double cost_fn = number_param(p, "cost_fn", 500.0);
@@ -695,7 +658,7 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
     throw RequestError{kBadRequest, "costs must be non-negative"};
   }
   const std::size_t steps = static_cast<std::size_t>(
-      uint_param(p, "steps", 2048, 2, options_.max_sweep_steps));
+      uint_param(p, "steps", 2048, 2, kMaxSweepSteps));
   const double lo = number_param(p, "lo", -4.0);
   const double hi = number_param(p, "hi", 4.0);
   if (!(lo < hi)) throw RequestError{kBadRequest, "lo must be below hi"};
@@ -707,37 +670,32 @@ void Service::handle_minimise(const Loaded* state_ptr, const Parsed& request,
   scratch.key.push_back(hi);
   scratch.key.push_back(static_cast<double>(steps));
 
-  bool cached = true;
-  std::optional<MinimiseNumbers> best =
-      minimise_cache_.find(std::span<const double>(scratch.key));
-  if (obs_on) {
-    (best ? metrics_[kMinimise].cache_hit : metrics_[kMinimise].cache_miss)
-        ->add(1);
-  }
-  if (!best) {
-    cached = false;
-    const exec::Config config{options_.compute_threads};
-    core::CostedOperatingPoint folded;
-    // Fold sub-ranges in ascending grid order with strict < — the shard
-    // merge rule — so the chunked scan matches minimise_cost exactly.
-    for (std::size_t first = 0; first < steps; first += kMinimiseChunk) {
-      check_deadline(deadline);
-      const std::size_t last = std::min(first + kMinimiseChunk, steps);
-      const core::CostedOperatingPoint candidate =
-          state.analyzer.minimise_cost_range(cost_fn, cost_fp, lo, hi, steps,
-                                             first, last, config);
-      if (candidate.valid && (!folded.valid || candidate.cost < folded.cost)) {
-        folded = candidate;
-      }
-    }
-    best = MinimiseNumbers{folded.point, folded.cost};
-    minimise_cache_.insert(std::span<const double>(scratch.key), *best);
-  }
+  bool cached = false;
+  const MinimiseNumbers best =
+      memoised(kMinimise, minimise_cache_, scratch.key, cached, [&] {
+        const exec::Config config{options_.compute_threads};
+        core::CostedOperatingPoint folded;
+        // Fold sub-ranges in ascending grid order with strict < — the
+        // shard merge rule — so the chunked scan matches minimise_cost
+        // exactly.
+        for (std::size_t first = 0; first < steps; first += kMinimiseChunk) {
+          check_deadline(deadline);
+          const std::size_t last = std::min(first + kMinimiseChunk, steps);
+          const core::CostedOperatingPoint candidate =
+              state.analyzer.minimise_cost_range(cost_fn, cost_fp, lo, hi,
+                                                 steps, first, last, config);
+          if (candidate.valid &&
+              (!folded.valid || candidate.cost < folded.cost)) {
+            folded = candidate;
+          }
+        }
+        return MinimiseNumbers{folded.point, folded.cost};
+      });
 
   out += "\"best\":";
-  append_operating_point(out, best->best);
+  append_operating_point(out, best.best);
   out += ",\"cost\":";
-  append_json_number(out, best->cost);
+  append_json_number(out, best.cost);
   out += ",\"steps\":";
   append_json_uint(out, steps);
   out += ",\"cached\":";
@@ -748,11 +706,10 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
                         RequestScratch& scratch, std::string& out) {
   const Loaded& state = *state_ptr;
   const Clock::time_point deadline = request.deadline;
-  const bool obs_on = obs::enabled();
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const std::size_t draws = static_cast<std::size_t>(
-      uint_param(p, "draws", 2000, 16, options_.max_uq_draws));
+      uint_param(p, "draws", 2000, 16, kMaxUqDraws));
   const double credibility = number_param(p, "credibility", 0.95);
   if (!(credibility > 0.0 && credibility < 1.0)) {
     throw RequestError{kBadRequest, "credibility must be in (0, 1)"};
@@ -767,32 +724,25 @@ void Service::handle_uq(const Loaded* state_ptr, const Parsed& request,
   scratch.key.push_back(static_cast<double>(seed));
   scratch.key.push_back(use_field ? 1.0 : 0.0);
 
-  bool cached = true;
-  std::optional<UqNumbers> numbers =
-      uq_cache_.find(std::span<const double>(scratch.key));
-  if (obs_on) {
-    (numbers ? metrics_[kUq].cache_hit : metrics_[kUq].cache_miss)->add(1);
-  }
-  if (!numbers) {
-    cached = false;
+  bool cached = false;
+  const UqNumbers numbers = memoised(kUq, uq_cache_, scratch.key, cached, [&] {
     check_deadline(deadline);
     stats::Rng rng(seed);
     const core::UncertainPrediction prediction = state.sampler.predict(
         use_field ? state.field : state.trial, rng, draws, credibility,
         exec::Config{options_.compute_threads});
-    numbers = UqNumbers{prediction.mean, prediction.lower, prediction.upper,
-                        prediction.stddev};
-    uq_cache_.insert(std::span<const double>(scratch.key), *numbers);
-  }
+    return UqNumbers{prediction.mean, prediction.lower, prediction.upper,
+                     prediction.stddev};
+  });
 
   out += "\"mean\":";
-  append_json_number(out, numbers->mean);
+  append_json_number(out, numbers.mean);
   out += ",\"lower\":";
-  append_json_number(out, numbers->lower);
+  append_json_number(out, numbers.lower);
   out += ",\"upper\":";
-  append_json_number(out, numbers->upper);
+  append_json_number(out, numbers.upper);
   out += ",\"stddev\":";
-  append_json_number(out, numbers->stddev);
+  append_json_number(out, numbers.stddev);
   out += ",\"draws\":";
   append_json_uint(out, draws);
   out += ",\"credibility\":";
@@ -814,11 +764,11 @@ void Service::handle_compare(const Loaded* state_ptr, const Parsed& request,
     throw RequestError{kBadRequest,
                        "params.scenarios must be a non-empty array"};
   }
-  if (scenarios->item_count > options_.max_compare_scenarios) {
+  if (scenarios->item_count > kMaxCompareScenarios) {
     throw RequestError{
         kBadRequest,
         "too many scenarios (max " +
-            std::to_string(options_.max_compare_scenarios) + ")"};
+            std::to_string(kMaxCompareScenarios) + ")"};
   }
 
   struct Ranked {

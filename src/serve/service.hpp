@@ -39,46 +39,33 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "core/demand_profile.hpp"
-#include "core/eval_cache.hpp"
 #include "core/extrapolation.hpp"
 #include "core/sequential_model.hpp"
 #include "core/tradeoff.hpp"
 #include "core/uncertainty.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
+#include "serve/eval_cache.hpp"
 #include "serve/json.hpp"
 
 namespace hmdiv::serve {
 
 struct ServiceOptions {
-  /// Shared result-cache capacities (entries; 0 disables a cache).
-  std::size_t whatif_cache_capacity = 4096;
-  std::size_t sweep_cache_capacity = 64;
-  std::size_t minimise_cache_capacity = 128;
-  std::size_t uq_cache_capacity = 128;
-  /// Deadline applied when a request carries none, and the cap on the
-  /// deadline a request may ask for.
+  /// Deadline applied when a request carries none.
   std::uint64_t default_deadline_ms = 1000;
-  std::uint64_t max_deadline_ms = 60'000;
   /// Thread budget for one request's compute (requests are already
   /// parallel across connections; 1 = serial per request).
   unsigned compute_threads = 1;
   /// Admission control; max_concurrent 0 = hardware concurrency.
   std::size_t max_concurrent = 0;
   std::size_t max_queue = 64;
-  /// Input bounds on expensive endpoints.
-  std::size_t max_sweep_steps = 100'000;
-  std::size_t max_uq_draws = 100'000;
-  std::size_t max_compare_scenarios = 32;
-  /// Synthetic per-class trial size used to derive posterior counts for
-  /// the uq endpoint when the request supplies none.
-  std::uint64_t uq_cases_per_class = 2000;
 };
 
 /// Per-connection reusable parse/compute scratch. Buffer capacities
@@ -233,7 +220,7 @@ class Service {
 
   [[nodiscard]] static std::unique_ptr<Loaded> build_loaded(
       core::SequentialModel model, core::DemandProfile trial,
-      core::DemandProfile field, const ServiceOptions& options);
+      core::DemandProfile field);
 
   void clear_caches();
 
@@ -273,6 +260,15 @@ class Service {
   void handle_shard(const Loaded* state, const Parsed& request,
                     RequestScratch& scratch, std::string& out);
 
+  /// The cache protocol of every cached endpoint, written once: probe
+  /// `cache` with `key`, count serve.<ep>.cache_hit/_miss, and on a miss
+  /// run `compute` and memoise its value under `key`. `cached` reports the
+  /// hit. Defined (and only instantiated) in service.cpp.
+  template <typename Value, typename Compute>
+  [[nodiscard]] Value memoised(Endpoint ep, EvalCache<Value>& cache,
+                               std::span<const double> key, bool& cached,
+                               Compute&& compute) const;
+
   /// Shared whatif machinery (whatif + compare): resolves a scenario spec,
   /// probes the cache, computes on miss. `cached` reports the hit/miss.
   [[nodiscard]] WhatifNumbers compute_whatif(const Loaded& state,
@@ -296,10 +292,17 @@ class Service {
   std::atomic<std::uint64_t> epoch_{1};
   std::atomic<bool> draining_{false};
 
-  mutable core::EvalCache<WhatifNumbers> whatif_cache_;
-  mutable core::EvalCache<SweepSummary> sweep_cache_;
-  mutable core::EvalCache<MinimiseNumbers> minimise_cache_;
-  mutable core::EvalCache<UqNumbers> uq_cache_;
+  /// Result-cache capacities (entries), fixed for the daemon's lifetime.
+  /// perfbench's serve traffic spreads its what-if keys over four times
+  /// kWhatifCacheCapacity.
+  static constexpr std::size_t kWhatifCacheCapacity = 4096;
+  static constexpr std::size_t kSweepCacheCapacity = 64;
+  static constexpr std::size_t kMinimiseCacheCapacity = 128;
+  static constexpr std::size_t kUqCacheCapacity = 128;
+  mutable EvalCache<WhatifNumbers> whatif_cache_{kWhatifCacheCapacity};
+  mutable EvalCache<SweepSummary> sweep_cache_{kSweepCacheCapacity};
+  mutable EvalCache<MinimiseNumbers> minimise_cache_{kMinimiseCacheCapacity};
+  mutable EvalCache<UqNumbers> uq_cache_{kUqCacheCapacity};
 
   std::array<EndpointMetrics, kEndpointCount> metrics_{};
 };

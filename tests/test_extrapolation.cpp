@@ -3,11 +3,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <stdexcept>
 
 #include "core/paper_example.hpp"
-#include "obs/obs.hpp"
 
 namespace hmdiv::core {
 namespace {
@@ -99,78 +97,6 @@ TEST(Extrapolator, ReaderDriftRangeIsOrderedAndBracketsNominal) {
   EXPECT_THROW(static_cast<void>(e.predict_range_for_reader_drift(
                    field, 1.3, 0.8)),
                std::invalid_argument);
-}
-
-/// Reads one counter from the global obs registry (0 if never registered).
-std::uint64_t counter_value(const char* name) {
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == name) return c.value;
-  }
-  return 0;
-}
-
-TEST(Extrapolator, EvalCacheServesRepeatedScenarios) {
-  const auto e = paper_extrapolator();
-  e.set_eval_cache_capacity(4);
-  Scenario s;
-  s.name = "field + improved difficult";
-  s.profile = paper::field_profile();
-  s.per_class_machine_factors = {{paper::kDifficult, 0.1}};
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const auto first = e.evaluate(s);
-  const auto second = e.evaluate(s);
-  // The key ignores the label: same transforms under a new name must hit
-  // and come back relabelled.
-  s.name = "same question, new label";
-  const auto relabelled = e.evaluate(s);
-  obs::set_enabled(false);
-
-  EXPECT_EQ(counter_value("core.whatif.cache_hit"), 2u);
-  EXPECT_EQ(counter_value("core.whatif.cache_miss"), 1u);
-  EXPECT_EQ(second.name, "field + improved difficult");
-  EXPECT_EQ(relabelled.name, "same question, new label");
-  for (const auto* r : {&second, &relabelled}) {
-    EXPECT_EQ(r->system_failure, first.system_failure);
-    EXPECT_EQ(r->machine_failure, first.machine_failure);
-    EXPECT_EQ(r->failure_floor, first.failure_floor);
-    EXPECT_EQ(r->decomposition.covariance, first.decomposition.covariance);
-  }
-}
-
-TEST(Extrapolator, EvalCacheDistinguishesTransforms) {
-  const auto e = paper_extrapolator();
-  e.set_eval_cache_capacity(4);
-  Scenario better;
-  better.name = "better machine";
-  better.machine_failure_factor = 0.5;
-  Scenario worse;
-  worse.name = "worse machine";
-  worse.machine_failure_factor = 2.0;
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const auto b = e.evaluate(better);
-  const auto w = e.evaluate(worse);
-  obs::set_enabled(false);
-
-  EXPECT_EQ(counter_value("core.whatif.cache_hit"), 0u);
-  EXPECT_EQ(counter_value("core.whatif.cache_miss"), 2u);
-  EXPECT_LT(b.system_failure, w.system_failure);
-}
-
-TEST(Extrapolator, EvalCacheDisabledByDefault) {
-  const auto e = paper_extrapolator();
-  Scenario s;
-  s.name = "nominal";
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  static_cast<void>(e.evaluate(s));
-  static_cast<void>(e.evaluate(s));
-  obs::set_enabled(false);
-  EXPECT_EQ(counter_value("core.whatif.cache_hit"), 0u);
-  EXPECT_EQ(counter_value("core.whatif.cache_miss"), 0u);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "alloc_count.hpp"
 #include "core/extrapolation.hpp"
 #include "core/paper_example.hpp"
+#include "core/tradeoff.hpp"
 #include "exec/workspace.hpp"
 #include "obs/obs.hpp"
 #include "serve/admission.hpp"
@@ -169,25 +170,75 @@ TEST(ServeServiceTest, WhatifMatchesExtrapolatorDirectly) {
   scenario.machine_failure_factor = 0.5;
   const core::ScenarioResult expected = direct.evaluate(scenario);
 
-  EXPECT_NEAR(number_field(out, "system_failure"), expected.system_failure,
-              1e-12);
-  EXPECT_NEAR(number_field(out, "machine_failure"), expected.machine_failure,
-              1e-12);
-  EXPECT_NEAR(number_field(out, "failure_floor"), expected.failure_floor,
-              1e-12);
+  // Replies print shortest round-trip doubles, so the parsed values are
+  // the computed ones exactly.
+  EXPECT_EQ(number_field(out, "system_failure"), expected.system_failure);
+  EXPECT_EQ(number_field(out, "machine_failure"), expected.machine_failure);
+  EXPECT_EQ(number_field(out, "failure_floor"), expected.failure_floor);
 }
 
-TEST(ServeServiceTest, WhatifSecondCallIsCacheHit) {
+TEST(ServeServiceTest, SweepMatchesBinormalTradeoffDirectly) {
+  auto service = make_service();
+  const std::string out = respond(
+      service,
+      "{\"op\":\"sweep\",\"params\":{\"steps\":101,\"points\":11,"
+      "\"lo\":-3,\"hi\":2}}");
+  ASSERT_NE(out.find("\"ok\":true"), std::string::npos) << out;
+
+  const core::TradeoffAnalyzer direct = core::binormal_tradeoff(
+      core::paper::example_model(), core::paper::field_profile());
+  std::size_t points = 0;
+  for (std::size_t at = out.find("{\"threshold\":"); at != std::string::npos;
+       at = out.find("{\"threshold\":", at + 1)) {
+    const std::string point = out.substr(at, out.find('}', at) - at + 1);
+    // Point j sits at grid index j * (steps - 1) / (points - 1).
+    const double threshold = -3.0 + 5.0 * static_cast<double>(points * 10) /
+                                         100.0;
+    EXPECT_EQ(number_field(point, "threshold"), threshold) << point;
+    const core::SystemOperatingPoint expected = direct.evaluate(threshold);
+    EXPECT_EQ(number_field(point, "machine_fn"), expected.machine_fn);
+    EXPECT_EQ(number_field(point, "machine_fp"), expected.machine_fp);
+    EXPECT_EQ(number_field(point, "system_fn"), expected.system_fn);
+    EXPECT_EQ(number_field(point, "system_fp"), expected.system_fp);
+    EXPECT_EQ(number_field(point, "sensitivity"), expected.sensitivity);
+    EXPECT_EQ(number_field(point, "specificity"), expected.specificity);
+    EXPECT_EQ(number_field(point, "recall_rate"), expected.recall_rate);
+    EXPECT_EQ(number_field(point, "ppv"), expected.ppv);
+    ++points;
+  }
+  EXPECT_EQ(points, 11u) << out;
+}
+
+/// One request line per cached endpoint.
+constexpr const char* kCachedLines[] = {
+    "{\"op\":\"whatif\",\"params\":{\"reader_factor\":1.5,"
+    "\"per_class\":{\"difficult\":0.5}}}",
+    "{\"op\":\"sweep\",\"params\":{\"steps\":64,\"points\":5}}",
+    "{\"op\":\"minimise\",\"params\":{\"steps\":512}}",
+    "{\"op\":\"uq\",\"params\":{\"draws\":200,\"seed\":3}}",
+};
+
+/// The reply a cache hit must give: the miss's reply with its cached flag
+/// set.
+std::string as_cache_hit(std::string miss) {
+  const std::string flag = "\"cached\":false";
+  const std::size_t at = miss.find(flag);
+  if (at != std::string::npos) miss.replace(at, flag.size(), "\"cached\":true");
+  return miss;
+}
+
+TEST(ServeServiceTest, SecondCallIsCacheHit) {
   auto service = make_service();
   serve::RequestScratch scratch;
-  const std::string line =
-      "{\"op\":\"whatif\",\"params\":{\"reader_factor\":1.5}}";
-  const std::string first = respond(service, line, scratch);
-  const std::string second = respond(service, line, scratch);
-  EXPECT_NE(first.find("\"cached\":false"), std::string::npos) << first;
-  EXPECT_NE(second.find("\"cached\":true"), std::string::npos) << second;
-  EXPECT_EQ(number_field(first, "system_failure"),
-            number_field(second, "system_failure"));
+  for (const char* line : kCachedLines) {
+    const std::string first = respond(service, line, scratch);
+    const std::string second = respond(service, line, scratch);
+    ASSERT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+    EXPECT_NE(first.find("\"cached\":false"), std::string::npos) << first;
+    EXPECT_NE(second.find("\"cached\":true"), std::string::npos) << second;
+    // Identical numbers: the hit differs from the miss only in its flag.
+    EXPECT_EQ(second, as_cache_hit(first));
+  }
 }
 
 TEST(ServeServiceTest, CompareRanksByFieldFailure) {
@@ -286,19 +337,26 @@ TEST(ServeAdmissionTest, WaiterAdmittedWhenSlotFrees) {
 TEST(ServeServiceTest, ReloadBumpsEpochAndInvalidatesCaches) {
   auto service = make_service();
   serve::RequestScratch scratch;
-  const std::string line =
-      "{\"op\":\"whatif\",\"params\":{\"reader_factor\":1.5}}";
-  respond(service, line, scratch);
-  ASSERT_NE(respond(service, line, scratch).find("\"cached\":true"),
-            std::string::npos);
+  std::vector<std::string> misses;
+  for (const char* line : kCachedLines) {
+    misses.push_back(respond(service, line, scratch));
+    ASSERT_NE(misses.back().find("\"cached\":false"), std::string::npos)
+        << misses.back();
+    ASSERT_NE(respond(service, line, scratch).find("\"cached\":true"),
+              std::string::npos)
+        << line;
+  }
   EXPECT_EQ(service.epoch(), 1u);
 
   service.reload(core::paper::example_model(), core::paper::trial_profile(),
                  core::paper::field_profile());
   EXPECT_EQ(service.epoch(), 2u);
-  // Same inputs, but the cache was cleared with the swap: miss again.
-  EXPECT_NE(respond(service, line, scratch).find("\"cached\":false"),
-            std::string::npos);
+  // Same inputs, but every cache was cleared with the swap: each endpoint
+  // misses again and recomputes the same reply.
+  for (std::size_t i = 0; i < std::size(kCachedLines); ++i) {
+    EXPECT_EQ(respond(service, kCachedLines[i], scratch), misses[i])
+        << kCachedLines[i];
+  }
 }
 
 TEST(ServeServiceTest, HealthReportsEpochAndDraining) {

@@ -1,5 +1,5 @@
-// Tests for the analytical sweep engine (core/tradeoff.hpp batch kernels,
-// sweep cache, and the zero-allocation contract on exec workspaces).
+// Tests for the analytical sweep engine (core/tradeoff.hpp batch kernels
+// and the zero-allocation contract on exec workspaces).
 //
 // This TU replaces the global operator new/delete with counting versions so
 // the steady-state "no heap allocation" contract of sweep_into and
@@ -26,7 +26,6 @@
 #include "exec/config.hpp"
 #include "exec/parallel.hpp"
 #include "exec/workspace.hpp"
-#include "obs/obs.hpp"
 
 // GCC inlines the counting operator new (malloc-based) and operator delete
 // (free-based) into use sites in this TU and then warns that free() is
@@ -288,71 +287,6 @@ TEST(SweepEngine, MinimiseCostIsAllocationFreeAfterWarmup) {
       analyzer.minimise_cost(25.0, 1.0, -3.0, 3.0, 10'000, exec::Config{1}));
   const std::uint64_t delta = allocation_count() - before;
   EXPECT_EQ(delta, 0u);
-}
-
-TEST(SweepEngine, SweepCacheServesRepeatedGrids) {
-  const auto analyzer = reference_analyzer();
-  analyzer.set_sweep_cache_capacity(2);
-  const std::vector<double> grid = make_grid(512, -2.0, 2.0);
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  const auto first = analyzer.sweep(grid, exec::Config{1});
-  const auto second = analyzer.sweep(grid, exec::Config{1});
-  obs::set_enabled(false);
-
-  ASSERT_EQ(first.size(), second.size());
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    ASSERT_TRUE(points_bitwise_equal(first[i], second[i])) << i;
-  }
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == "core.sweep.cache_hit") hits = c.value;
-    if (c.name == "core.sweep.cache_miss") misses = c.value;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 1u);
-}
-
-TEST(SweepEngine, SweepCacheEvictsOldestFirst) {
-  const auto analyzer = reference_analyzer();
-  analyzer.set_sweep_cache_capacity(1);
-  const std::vector<double> first = make_grid(128, -2.0, 2.0);
-  const std::vector<double> second = make_grid(128, -1.0, 1.0);
-
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // miss, cached
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // hit
-  static_cast<void>(analyzer.sweep(second, exec::Config{1}));  // miss, evicts
-  static_cast<void>(analyzer.sweep(first, exec::Config{1}));   // miss again
-  obs::set_enabled(false);
-
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == "core.sweep.cache_hit") hits = c.value;
-    if (c.name == "core.sweep.cache_miss") misses = c.value;
-  }
-  EXPECT_EQ(hits, 1u);
-  EXPECT_EQ(misses, 3u);
-}
-
-TEST(SweepEngine, DisabledCacheRecomputes) {
-  const auto analyzer = reference_analyzer();  // capacity 0 by default
-  const std::vector<double> grid = make_grid(64, -1.0, 1.0);
-  obs::set_enabled(true);
-  obs::Registry::global().reset();
-  static_cast<void>(analyzer.sweep(grid, exec::Config{1}));
-  static_cast<void>(analyzer.sweep(grid, exec::Config{1}));
-  obs::set_enabled(false);
-  for (const auto& c : obs::registry_snapshot().counters) {
-    if (c.name == "core.sweep.cache_hit" ||
-        c.name == "core.sweep.cache_miss") {
-      EXPECT_EQ(c.value, 0u) << c.name;
-    }
-  }
 }
 
 }  // namespace
