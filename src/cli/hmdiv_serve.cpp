@@ -2,7 +2,7 @@
 //
 // Usage:
 //   hmdiv_serve --model MODEL_FILE --trial PROFILE_FILE --field PROFILE_FILE
-//               [--bind HOST:PORT] [--port N] [--address A] [--max-queue N]
+//               [--bind HOST:PORT] [--port N] [--max-queue N]
 //               [--max-concurrent N] [--max-conns N] [--threads N]
 //               [--deadline-ms N] [--no-obs]
 //   hmdiv_serve --example [--port N] ...
@@ -43,8 +43,7 @@ using namespace hmdiv;
 [[noreturn]] void usage(int exit_code) {
   std::cerr
       << "usage: hmdiv_serve --model FILE --trial FILE --field FILE\n"
-         "                   [--bind HOST:PORT] [--port N] [--address A]\n"
-         "                   [--max-queue N]\n"
+         "                   [--bind HOST:PORT] [--port N] [--max-queue N]\n"
          "                   [--max-concurrent N] [--max-conns N]\n"
          "                   [--threads N] [--deadline-ms N]\n"
          "                   [--no-obs]\n"
@@ -54,9 +53,8 @@ using namespace hmdiv;
          "uq, compare, health, metrics, reload) over a newline-delimited\n"
          "JSON TCP protocol.\n"
          "--bind HOST:PORT (or [IPV6]:PORT) sets the listen address and\n"
-         "port together; --port N and --address A set them separately\n"
-         "(defaults 0 = ephemeral and 127.0.0.1; the bound port is\n"
-         "printed on startup).\n"
+         "port (default 127.0.0.1:0); --port N sets the port alone (0 =\n"
+         "ephemeral; the bound port is printed on startup).\n"
          "--max-concurrent N caps requests executing at once (default:\n"
          "hardware threads); --max-queue N bounds the admission queue\n"
          "beyond which requests are shed with a structured error\n"
@@ -114,8 +112,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--port") {
       server_options.port = static_cast<std::uint16_t>(cli::parse_bounded_ulong(
           "hmdiv_serve", "--port", next(i), 0, 65535));
-    } else if (arg == "--address") {
-      server_options.bind_address = next(i);
     } else if (arg == "--bind") {
       cli::HostPort bind =
           cli::parse_host_port("hmdiv_serve", "--bind", next(i));

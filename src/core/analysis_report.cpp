@@ -16,6 +16,10 @@ namespace {
 using report::fixed;
 using report::Table;
 
+/// Machine failure-probability factor of the per-class what-if rows: the
+/// paper's 10x improvement.
+constexpr double kImprovementFactor = 0.1;
+
 std::string render(const Table& table, bool markdown) {
   return markdown ? table.to_markdown() + "\n" : table.to_text() + "\n";
 }
@@ -44,41 +48,34 @@ std::string analysis_report(const SequentialModel& model,
     out << "HUMAN-MACHINE SYSTEM ANALYSIS\n\n";
   }
 
-  if (options.include_parameters) {
-    heading(out, options.markdown, "Model parameters");
-    out << render(parameter_table(model, trial, field), options.markdown);
-  }
+  heading(out, options.markdown, "Model parameters");
+  out << render(parameter_table(model, trial, field), options.markdown);
 
-  if (options.include_failure_probabilities) {
-    heading(out, options.markdown, "System failure probabilities (Eq. 8)");
-    out << render(failure_table(model, trial, field), options.markdown);
-  }
+  heading(out, options.markdown, "System failure probabilities (Eq. 8)");
+  out << render(failure_table(model, trial, field), options.markdown);
 
-  if (options.include_decomposition) {
-    heading(out, options.markdown, "Eq. (10) decomposition");
-    Table table({"profile", "floor E[PHf|Ms]", "E[PMf]*E[t]", "cov(PMf,t)",
-                 "total"});
-    for (const auto& [name, profile] :
-         {std::pair<const char*, const DemandProfile&>{"Trial", trial},
-          std::pair<const char*, const DemandProfile&>{"Field", field}}) {
-      const auto d = model.decompose(profile);
-      table.row({name, fixed(d.floor, 4), fixed(d.mean_field, 4),
-                 fixed(d.covariance, 4), fixed(d.total(), 4)});
-    }
-    out << render(table, options.markdown);
+  heading(out, options.markdown, "Eq. (10) decomposition");
+  Table decomposition({"profile", "floor E[PHf|Ms]", "E[PMf]*E[t]",
+                       "cov(PMf,t)", "total"});
+  for (const auto& [name, profile] :
+       {std::pair<const char*, const DemandProfile&>{"Trial", trial},
+        std::pair<const char*, const DemandProfile&>{"Field", field}}) {
+    const auto d = model.decompose(profile);
+    decomposition.row({name, fixed(d.floor, 4), fixed(d.mean_field, 4),
+                       fixed(d.covariance, 4), fixed(d.total(), 4)});
   }
+  out << render(decomposition, options.markdown);
 
-  if (options.include_sensitivities) {
-    heading(out, options.markdown, "Sensitivities (Field profile)");
-    const auto grads = sensitivities(model, field);
-    Table table({"class", "dPHf/dPMf", "dPHf/dPHf|Mf", "dPHf/dPHf|Ms"});
-    for (std::size_t x = 0; x < model.class_count(); ++x) {
-      table.row({model.class_names()[x], fixed(grads[x].d_machine_failure, 4),
-                 fixed(grads[x].d_human_given_failure, 4),
-                 fixed(grads[x].d_human_given_success, 4)});
-    }
-    out << render(table, options.markdown);
+  heading(out, options.markdown, "Sensitivities (Field profile)");
+  const auto grads = sensitivities(model, field);
+  Table gradients({"class", "dPHf/dPMf", "dPHf/dPHf|Mf", "dPHf/dPHf|Ms"});
+  for (std::size_t x = 0; x < model.class_count(); ++x) {
+    gradients.row({model.class_names()[x],
+                   fixed(grads[x].d_machine_failure, 4),
+                   fixed(grads[x].d_human_given_failure, 4),
+                   fixed(grads[x].d_human_given_success, 4)});
   }
+  out << render(gradients, options.markdown);
 
   if (options.include_design_advice) {
     heading(out, options.markdown, "Design advice (Field profile)");
@@ -87,7 +84,7 @@ std::string analysis_report(const SequentialModel& model,
     std::vector<ImprovementCandidate> candidates;
     for (std::size_t x = 0; x < model.class_count(); ++x) {
       candidates.push_back(ImprovementCandidate{
-          "improve " + model.class_names()[x], x, options.improvement_factor});
+          "improve " + model.class_names()[x], x, kImprovementFactor});
     }
     out << render(improvement_table(advisor.rank(std::move(candidates))),
                   options.markdown);

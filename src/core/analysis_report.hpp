@@ -12,21 +12,18 @@
 
 namespace hmdiv::core {
 
-/// What to include in the report.
+/// Report rendering options.
 struct ReportOptions {
-  bool include_parameters = true;
-  bool include_failure_probabilities = true;
-  bool include_decomposition = true;      ///< Eq. (10), both profiles
-  bool include_sensitivities = true;
   bool include_design_advice = true;      ///< floor, leverage, best target
-  /// Improvement factor used for the per-class what-if rows (paper: 0.1).
-  double improvement_factor = 0.1;
   bool markdown = true;                   ///< false = plain text tables
 };
 
 /// Full single-failure-mode analysis of `model` measured under `trial` and
-/// deployed under `field` (the Section-5 situation). Throws on class
-/// mismatches.
+/// deployed under `field` (the Section-5 situation): model parameters,
+/// Eq. (8) failure probabilities, the Eq. (10) decomposition for both
+/// profiles, field sensitivities and, unless disabled, design advice with
+/// per-class what-if rows at the paper's 10x machine improvement. Throws
+/// on class mismatches.
 [[nodiscard]] std::string analysis_report(const SequentialModel& model,
                                           const DemandProfile& trial,
                                           const DemandProfile& field,

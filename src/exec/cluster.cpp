@@ -647,7 +647,7 @@ void ClusterRunner::RunState::complete_head(Conn& conn) {
   conn.inflight.pop_front();
   for (std::vector<std::uint8_t>& snapshot : conn.cur_obs) {
     try {
-      obs::Registry::global().merge(obs::parse_snapshot(snapshot));
+      obs::Registry::global().merge(wire::parse_snapshot(snapshot));
     } catch (const std::exception& e) {
       throw ClusterError("cluster: " + conn.stats.address +
                          ": bad obs frame: " + e.what());
@@ -662,9 +662,9 @@ void ClusterRunner::RunState::complete_head(Conn& conn) {
   HMDIV_OBS_COUNT("exec.cluster.tasks", 1);
   const auto now = Clock::now();
   if (obs::enabled()) {
-    obs::Registry::global()
-        .histogram("exec.cluster.rpc_ns")
-        .record(elapsed_ns(head.dispatched, now));
+    static obs::Histogram& rpc =
+        obs::Registry::global().histogram("exec.cluster.rpc_ns");
+    rpc.record(elapsed_ns(head.dispatched, now));
   }
   if (!conn.inflight.empty()) {
     conn.head_deadline = now + options.task_deadline;

@@ -49,10 +49,10 @@ bool execute_shard_task(const wire::ShardTask& task,
                                 task.workload + "'");
     return false;
   }
-  const bool was_enabled = obs::enabled();
-  if (task.obs_enabled && !was_enabled) obs::set_enabled(true);
+  // The gate belongs to the process: a task reads it and never flips it.
+  const bool ship_obs = task.obs_enabled && obs::enabled();
   obs::Snapshot before;
-  if (task.obs_enabled) before = obs::registry_snapshot();
+  if (ship_obs) before = obs::registry_snapshot();
 
   std::vector<std::uint8_t> payload;
   try {
@@ -60,19 +60,17 @@ bool execute_shard_task(const wire::ShardTask& task,
     HMDIV_OBS_SCOPED_TIMER("serve.shard.task_ns");
     payload = handler(task);
   } catch (const std::exception& e) {
-    if (task.obs_enabled && !was_enabled) obs::set_enabled(false);
     append_error_frame(out, "shard endpoint: " + task.workload + ": " +
                                 e.what());
     return false;
   }
 
   wire::append_frame(out, wire::FrameType::result, payload);
-  if (task.obs_enabled) {
-    const obs::Snapshot delta =
-        obs::snapshot_delta(before, obs::registry_snapshot());
-    wire::append_frame(out, wire::FrameType::obs,
-                       obs::serialize_snapshot(delta));
-    if (!was_enabled) obs::set_enabled(false);
+  if (ship_obs) {
+    wire::append_frame(
+        out, wire::FrameType::obs,
+        wire::serialize_snapshot(
+            obs::snapshot_delta(before, obs::registry_snapshot())));
   }
   return true;
 }

@@ -60,15 +60,17 @@ struct ShardWorkloadRegistration {
 [[nodiscard]] ShardHandler find_shard_workload(std::string_view name);
 
 /// Executes one shard task on this process's engine and appends the reply
-/// frames to `out`: a result frame, then — iff task.obs_enabled — an obs
-/// frame carrying the *delta* of the global registry across the handler
-/// (obs::snapshot_delta; a long-running daemon must not re-ship its whole
-/// uptime per task). A failed or unknown workload appends an error frame
-/// instead and returns false (the caller must not follow an error with a
-/// done frame — done marks successful completion only). task.threads
-/// reaches the handler through the task itself; the process default
-/// config is left alone, so concurrent tasks never see each other's
-/// budget. Never throws.
+/// frames to `out`: a result frame, then — iff task.obs_enabled and this
+/// process's obs gate is on — an obs frame carrying the *delta* of the
+/// global registry across the handler (obs::snapshot_delta; a
+/// long-running daemon must not re-ship its whole uptime per task). A
+/// failed or unknown workload appends an error frame instead and returns
+/// false (the caller must not follow an error with a done frame — done
+/// marks successful completion only). Both of the task's settings reach
+/// it through the task itself and leave process state alone: task.threads
+/// is the handler's budget, not the default config, and task.obs_enabled
+/// never flips the obs gate, so concurrent tasks never see each other's
+/// budget and a --no-obs daemon records nothing. Never throws.
 bool execute_shard_task(const wire::ShardTask& task,
                         std::vector<std::uint8_t>& out);
 

@@ -23,9 +23,6 @@ struct Config {
   /// The actual thread budget: `threads`, or hardware concurrency (at
   /// least 1) when `threads` is 0.
   [[nodiscard]] unsigned resolved_threads() const noexcept;
-
-  /// A config pinned to a single thread (serial execution).
-  [[nodiscard]] static Config serial() noexcept { return Config{1}; }
 };
 
 /// Parses HMDIV_THREADS. Unset or empty yields auto; a malformed value

@@ -8,6 +8,11 @@ namespace {
 
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;  // magic + type + length
 
+// Smallest obs-frame elements: a counter is a name length and a value; a
+// histogram is a name length, four statistics and a bucket count.
+constexpr std::size_t kMinCounterBytes = 2 * 8;
+constexpr std::size_t kMinHistogramBytes = 6 * 8;
+
 bool known_type(std::uint32_t type) {
   switch (static_cast<FrameType>(type)) {
     case FrameType::task:
@@ -114,6 +119,54 @@ std::uint32_t parse_done(std::span<const std::uint8_t> payload) {
     throw ProtocolError("shard done frame: trailing bytes");
   }
   return id;
+}
+
+std::vector<std::uint8_t> serialize_snapshot(const obs::Snapshot& snapshot) {
+  Writer w;
+  w.u64(snapshot.counters.size());
+  for (const obs::CounterSnapshot& c : snapshot.counters) {
+    w.str(c.name);
+    w.u64(c.value);
+  }
+  w.u64(snapshot.histograms.size());
+  for (const obs::HistogramSnapshot& h : snapshot.histograms) {
+    w.str(h.name);
+    w.u64(h.count);
+    w.u64(h.sum);
+    w.u64(h.min);
+    w.u64(h.max);
+    w.u64(h.buckets.size());
+    for (const std::uint64_t b : h.buckets) w.u64(b);
+  }
+  return w.take();
+}
+
+obs::Snapshot parse_snapshot(std::span<const std::uint8_t> payload) {
+  Reader r(payload);
+  obs::Snapshot out;
+  out.counters.resize(r.count(kMinCounterBytes));
+  for (obs::CounterSnapshot& c : out.counters) {
+    c.name = r.str();
+    c.value = r.u64();
+  }
+  out.histograms.resize(r.count(kMinHistogramBytes));
+  for (obs::HistogramSnapshot& h : out.histograms) {
+    h.name = r.str();
+    h.count = r.u64();
+    h.sum = r.u64();
+    h.min = r.u64();
+    h.max = r.u64();
+    const std::size_t buckets = r.count(sizeof(std::uint64_t));
+    if (buckets > obs::Histogram::kBuckets) {
+      throw ProtocolError("obs frame: bucket count out of range");
+    }
+    h.buckets.resize(buckets);
+    for (std::uint64_t& b : h.buckets) b = r.u64();
+  }
+  if (!r.exhausted()) {
+    throw ProtocolError("obs frame: trailing bytes");
+  }
+  return out;
 }
 
 ShardRange shard_range(std::uint64_t items, std::uint32_t shard,

@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/obs.hpp"
+
 namespace hmdiv::exec::wire {
 
 /// Thrown by Reader / FrameParser on malformed bytes (bad magic, truncated
@@ -52,7 +54,8 @@ enum class FrameType : std::uint32_t {
   task = 1,
   /// Worker -> coordinator: workload result payload.
   result = 2,
-  /// Worker -> coordinator: serialized obs::Snapshot of the worker registry.
+  /// Worker -> coordinator: the worker registry's obs::Snapshot delta
+  /// across the task (serialize_snapshot).
   obs = 3,
   /// Worker -> coordinator: structured failure description (string).
   error = 4,
@@ -208,7 +211,9 @@ struct ShardTask {
   std::uint32_t shard_count = 1;
   /// Worker thread budget (0 = all hardware threads).
   std::uint32_t threads = 1;
-  /// Whether the worker should enable obs and ship its registry back.
+  /// Whether the coordinator wants the worker's metrics: the worker ships
+  /// an obs frame iff this is set *and* its own obs gate is on (a daemon
+  /// started with --no-obs ships none). A task never flips the gate.
   bool obs_enabled = false;
   /// When true `blob` is empty and the worker must reuse the blob it
   /// cached from the most recent non-cached task on the same connection
@@ -227,6 +232,20 @@ struct ShardTask {
 /// frames precede it on the stream.
 [[nodiscard]] std::vector<std::uint8_t> serialize_done(std::uint32_t task_id);
 [[nodiscard]] std::uint32_t parse_done(std::span<const std::uint8_t> payload);
+
+/// Payload of an obs frame:
+///   u64 n_counters | n × (str name, u64 value)
+///   | u64 n_histograms | n × (str name, u64 count, sum, min, max,
+///                             u64 n_buckets, n_buckets × u64)
+/// parse_snapshot(serialize_snapshot(s)) reproduces `s` field for field.
+/// The payload comes from a remote worker, so parse_snapshot bounds every
+/// element count by the bytes behind it before sizing anything
+/// (Reader::count), caps a histogram at obs::Histogram::kBuckets buckets,
+/// and throws ProtocolError on truncated or trailing bytes.
+[[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
+    const obs::Snapshot& snapshot);
+[[nodiscard]] obs::Snapshot parse_snapshot(
+    std::span<const std::uint8_t> payload);
 
 /// Fixed partition of `items` work units over `shards` workers: shard s
 /// covers [begin, end) = [s·m/N, (s+1)·m/N). Depends only on (items,

@@ -10,16 +10,13 @@ namespace {
 
 thread_local bool tl_on_worker_thread = false;
 
-#if HMDIV_OBS
-/// Nanoseconds between two steady_clock points, clamped to >= 0.
-std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
-                         std::chrono::steady_clock::time_point to) {
-  const auto ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
-          .count();
+/// Nanoseconds from `from` to now, clamped to >= 0.
+std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                      std::chrono::steady_clock::now() - from)
+                      .count();
   return ns < 0 ? 0 : static_cast<std::uint64_t>(ns);
 }
-#endif
 
 }  // namespace
 
@@ -80,26 +77,17 @@ void ThreadPool::worker_loop() {
     ++job.active_helpers;
     lock.unlock();
 
-#if HMDIV_OBS
-    const bool timed = job.timed && obs::enabled();
-    std::chrono::steady_clock::time_point picked_up;
-    if (timed) {
-      picked_up = std::chrono::steady_clock::now();
+    if (job.timed && obs::enabled()) {
       static obs::Histogram& queue_wait =
           obs::Registry::global().histogram("exec.pool.queue_wait_ns");
-      queue_wait.record(elapsed_ns(job.submitted, picked_up));
+      queue_wait.record(elapsed_ns(job.submitted));
     }
-#endif
     tl_on_worker_thread = true;
-    execute(job);
-    tl_on_worker_thread = false;
-#if HMDIV_OBS
-    if (timed) {
-      static obs::Histogram& busy =
-          obs::Registry::global().histogram("exec.pool.helper_busy_ns");
-      busy.record(elapsed_ns(picked_up, std::chrono::steady_clock::now()));
+    {
+      HMDIV_OBS_SCOPED_TIMER("exec.pool.helper_busy_ns");
+      execute(job);
     }
-#endif
+    tl_on_worker_thread = false;
 
     lock.lock();
     if (--job.active_helpers == 0) job_done_.notify_all();
@@ -133,12 +121,10 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
   HMDIV_OBS_COUNT("exec.pool.jobs", 1);
   Job job(fn);
   job.count = count;
-#if HMDIV_OBS
   if (obs::enabled()) {
     job.timed = true;
     job.submitted = std::chrono::steady_clock::now();
   }
-#endif
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     job_ = &job;
@@ -146,20 +132,10 @@ void ThreadPool::run_indexed(std::size_t count, unsigned max_threads,
   }
   work_ready_.notify_all();
 
-#if HMDIV_OBS
-  if (job.timed) {
-    static obs::Histogram& caller_busy =
-        obs::Registry::global().histogram("exec.pool.caller_busy_ns");
-    const auto started = std::chrono::steady_clock::now();
+  {
+    HMDIV_OBS_SCOPED_TIMER("exec.pool.caller_busy_ns");
     execute(job);  // The caller is one of the job's threads.
-    caller_busy.record(
-        elapsed_ns(started, std::chrono::steady_clock::now()));
-  } else {
-    execute(job);
   }
-#else
-  execute(job);  // The caller is one of the job's threads.
-#endif
 
   {
     std::unique_lock<std::mutex> lock(mutex_);

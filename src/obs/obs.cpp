@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <stdexcept>
 #include <string_view>
 
 namespace hmdiv::obs {
@@ -20,50 +19,24 @@ void set_enabled(bool on) noexcept {
   g_enabled.store(on, std::memory_order_relaxed);
 }
 
-namespace {
-
-/// The q-quantile of a power-of-two bucketed histogram: the upper bound of
-/// the bucket holding it, clamped to the observed [min, max] so that no
-/// quantile reads above the largest (or below the smallest) recorded
-/// value. Falls back to `max` when the target lies past the buckets.
-template <typename BucketAt>
-std::uint64_t bucket_quantile(std::uint64_t count, std::uint64_t min,
-                              std::uint64_t max, std::size_t buckets,
-                              BucketAt bucket_at, double q) noexcept {
-  if (count == 0) return 0;
+std::uint64_t snapshot_quantile(const HistogramSnapshot& h,
+                                double q) noexcept {
+  if (h.count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   const auto target = static_cast<std::uint64_t>(
-      std::ceil(q * static_cast<double>(count)));
+      std::ceil(q * static_cast<double>(h.count)));
   std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets; ++b) {
-    cumulative += bucket_at(b);
+  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
+    cumulative += h.buckets[b];
     if (cumulative >= target && cumulative > 0) {
       // Upper bound of bucket b: values in [2^(b-1), 2^b).
       const std::uint64_t upper = b == 0    ? 0
                                   : b >= 64 ? ~std::uint64_t{0}
                                             : (std::uint64_t{1} << b) - 1;
-      return std::min(std::max(upper, min), max);
+      return std::min(std::max(upper, h.min), h.max);
     }
   }
-  return max;
-}
-
-}  // namespace
-
-std::uint64_t Histogram::quantile(double q) const noexcept {
-  return bucket_quantile(
-      count(), min(), max(), kBuckets,
-      [this](std::size_t b) {
-        return buckets_[b].load(std::memory_order_relaxed);
-      },
-      q);
-}
-
-std::uint64_t snapshot_quantile(const HistogramSnapshot& h,
-                                double q) noexcept {
-  return bucket_quantile(
-      h.count, h.min, h.max, h.buckets.size(),
-      [&h](std::size_t b) { return h.buckets[b]; }, q);
+  return h.max;
 }
 
 void Histogram::merge(const HistogramSnapshot& other) noexcept {
@@ -94,12 +67,6 @@ void Histogram::reset() noexcept {
   min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
   for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-}
-
-ScopedTimer::ScopedTimer(const char* name) {
-  if (!enabled()) return;
-  hist_ = &Registry::global().histogram(name);
-  start_ = Clock::now();
 }
 
 ScopedTimer::~ScopedTimer() {
@@ -154,9 +121,6 @@ Snapshot Registry::snapshot() const {
     h.sum = hist->sum();
     h.min = hist->min();
     h.max = hist->max();
-    h.p50 = hist->quantile(0.50);
-    h.p90 = hist->quantile(0.90);
-    h.p99 = hist->quantile(0.99);
     h.buckets.resize(Histogram::kBuckets);
     for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
       h.buckets[b] = hist->bucket(b);
@@ -223,144 +187,7 @@ Snapshot snapshot_delta(const Snapshot& before, const Snapshot& after) {
       delta.buckets[b] =
           h.buckets[b] >= prior ? h.buckets[b] - prior : 0;
     }
-    delta.p50 = snapshot_quantile(delta, 0.50);
-    delta.p90 = snapshot_quantile(delta, 0.90);
-    delta.p99 = snapshot_quantile(delta, 0.99);
     out.histograms.push_back(std::move(delta));
-  }
-  return out;
-}
-
-// --- Snapshot wire format -------------------------------------------------
-// obs sits below exec in the layer order, so the encoding is implemented
-// here with minimal local helpers rather than exec's wire::Writer/Reader.
-// Layout (all little-endian):
-//   u32 version | u64 n_counters | n × (str name, u64 value)
-//               | u64 n_histograms | n × (str name, u64 count, sum, min,
-//                 max, p50, p90, p99, u64 n_buckets, n_buckets × u64)
-// Strings are u64 length + raw bytes.
-
-namespace {
-
-constexpr std::uint32_t kSnapshotVersion = 1;
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
-  }
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-struct Cursor {
-  std::span<const std::uint8_t> bytes;
-  std::size_t pos = 0;
-
-  std::span<const std::uint8_t> take(std::uint64_t n) {
-    if (n > bytes.size() - pos) {
-      throw std::runtime_error("obs snapshot: truncated payload");
-    }
-    const auto out = bytes.subspan(pos, static_cast<std::size_t>(n));
-    pos += static_cast<std::size_t>(n);
-    return out;
-  }
-  std::uint64_t u64() {
-    const auto raw = take(8);
-    std::uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) v |= std::uint64_t{raw[b]} << (8 * b);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    const auto raw = take(n);
-    return std::string(reinterpret_cast<const char*>(raw.data()), raw.size());
-  }
-  /// Reads an element count and checks that that many elements of at
-  /// least `min_bytes` each fit in the rest of the payload, so a hostile
-  /// count cannot size anything beyond the frame it arrived in.
-  std::size_t count(std::size_t min_bytes) {
-    const std::uint64_t n = u64();
-    if (n > (bytes.size() - pos) / min_bytes) {
-      throw std::runtime_error("obs snapshot: count exceeds the payload");
-    }
-    return static_cast<std::size_t>(n);
-  }
-};
-
-// Smallest encodings: a counter is a name length plus a value; a
-// histogram is a name length, seven u64 statistics and a bucket count.
-constexpr std::size_t kMinCounterBytes = 2 * 8;
-constexpr std::size_t kMinHistogramBytes = 9 * 8;
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize_snapshot(const Snapshot& s) {
-  std::vector<std::uint8_t> out;
-  put_u64(out, kSnapshotVersion);
-  put_u64(out, s.counters.size());
-  for (const CounterSnapshot& c : s.counters) {
-    put_str(out, c.name);
-    put_u64(out, c.value);
-  }
-  put_u64(out, s.histograms.size());
-  for (const HistogramSnapshot& h : s.histograms) {
-    put_str(out, h.name);
-    put_u64(out, h.count);
-    put_u64(out, h.sum);
-    put_u64(out, h.min);
-    put_u64(out, h.max);
-    put_u64(out, h.p50);
-    put_u64(out, h.p90);
-    put_u64(out, h.p99);
-    put_u64(out, h.buckets.size());
-    for (const std::uint64_t b : h.buckets) put_u64(out, b);
-  }
-  return out;
-}
-
-Snapshot parse_snapshot(std::span<const std::uint8_t> bytes) {
-  Cursor in{bytes};
-  const std::uint64_t version = in.u64();
-  if (version != kSnapshotVersion) {
-    throw std::runtime_error("obs snapshot: unsupported version " +
-                             std::to_string(version));
-  }
-  Snapshot out;
-  const std::size_t counters = in.count(kMinCounterBytes);
-  out.counters.reserve(counters);
-  for (std::size_t i = 0; i < counters; ++i) {
-    CounterSnapshot c;
-    c.name = in.str();
-    c.value = in.u64();
-    out.counters.push_back(std::move(c));
-  }
-  const std::size_t histograms = in.count(kMinHistogramBytes);
-  out.histograms.reserve(histograms);
-  for (std::size_t i = 0; i < histograms; ++i) {
-    HistogramSnapshot h;
-    h.name = in.str();
-    h.count = in.u64();
-    h.sum = in.u64();
-    h.min = in.u64();
-    h.max = in.u64();
-    h.p50 = in.u64();
-    h.p90 = in.u64();
-    h.p99 = in.u64();
-    const std::uint64_t buckets = in.u64();
-    if (buckets > Histogram::kBuckets) {
-      throw std::runtime_error("obs snapshot: bucket count out of range");
-    }
-    h.buckets.reserve(static_cast<std::size_t>(buckets));
-    for (std::uint64_t b = 0; b < buckets; ++b) {
-      h.buckets.push_back(in.u64());
-    }
-    out.histograms.push_back(std::move(h));
-  }
-  if (in.pos != bytes.size()) {
-    throw std::runtime_error("obs snapshot: trailing bytes");
   }
   return out;
 }

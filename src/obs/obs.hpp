@@ -1,22 +1,17 @@
 // Observability: cheap thread-safe counters, histograms, scoped timers and
 // a process-wide registry for the parallel engine and its clients.
 //
-// Two gates keep the cost at zero when nobody is looking:
-//
-//  * Compile time: the HMDIV_OBS macro (CMake option of the same name,
-//    default ON). When 0, the HMDIV_OBS_* instrumentation macros expand to
-//    nothing and no instrumentation code is emitted. The obs types remain
-//    available for direct use (tests, tools).
-//  * Run time: obs::set_enabled(true) — off by default. The instrumentation
-//    macros check obs::enabled() (one relaxed atomic load and a branch)
-//    before touching the registry, so an instrumented binary that never
-//    enables profiling pays only that check per *region* (never per case or
-//    per replicate — instrumentation points sit at batch/chunk granularity).
+// One gate keeps the cost near zero when nobody is looking: the run-time
+// flag obs::set_enabled(true), off by default. The instrumentation macros
+// check obs::enabled() (one relaxed atomic load and a branch) before
+// touching the registry, so an instrumented binary that never enables
+// profiling pays only that check per *region* (never per case or per
+// replicate — instrumentation points sit at batch/chunk granularity).
 //
 // Registration is lazy: a metric first appears in the registry when its
 // instrumentation point runs while profiling is enabled. References
 // returned by the registry are stable for the life of the process, so call
-// sites cache them in function-local statics.
+// sites cache them in function-local statics (both macros do).
 //
 // All mutation uses relaxed atomics: metrics are monotone tallies whose
 // readers (snapshot/report) tolerate torn cross-metric views. A snapshot is
@@ -32,14 +27,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef HMDIV_OBS
-#define HMDIV_OBS 1
-#endif
 
 namespace hmdiv::obs {
 
@@ -72,8 +62,9 @@ class Counter {
 
 /// A named histogram of non-negative integer values (conventionally
 /// nanoseconds). Lock-free: exact count/sum/min/max plus power-of-two
-/// magnitude buckets, from which quantiles are answered to within a factor
-/// of two (bucket upper bound) — plenty for "where does wall-clock go".
+/// magnitude buckets, from which a snapshot's quantiles are answered to
+/// within a factor of two (snapshot_quantile) — plenty for "where does
+/// wall-clock go".
 class Histogram {
  public:
   /// Bucket b holds values whose bit width is b, i.e. [2^(b-1), 2^b).
@@ -114,11 +105,6 @@ class Histogram {
   [[nodiscard]] std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
-  /// Upper bound of the bucket containing the q-quantile (q in [0,1]),
-  /// clamped to [min(), max()]; exact to within a factor of 2. 0 when
-  /// empty.
-  [[nodiscard]] std::uint64_t quantile(double q) const noexcept;
-
   /// Raw count of bucket `b` (0 for b >= kBuckets) — snapshots carry these
   /// so histograms merge exactly instead of re-binning derived quantiles.
   [[nodiscard]] std::uint64_t bucket(std::size_t b) const noexcept {
@@ -130,9 +116,9 @@ class Histogram {
 
   /// Folds a snapshot of another histogram (e.g. from a shard worker) into
   /// this one by summing the per-bucket counts directly — never by
-  /// re-binning the snapshot's derived quantiles, which would smear every
-  /// merged value into one bucket. count/sum add, min/max fold, and the
-  /// merged quantiles are exactly those of the union of the recordings.
+  /// re-binning derived quantiles, which would smear every merged value
+  /// into one bucket. count/sum add, min/max fold, and the merged
+  /// quantiles are exactly those of the union of the recordings.
   void merge(const struct HistogramSnapshot& other) noexcept;
 
  private:
@@ -144,18 +130,16 @@ class Histogram {
   std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
 };
 
-/// RAII timer recording elapsed nanoseconds into a Histogram on scope exit.
+/// RAII timer recording elapsed nanoseconds into `hist` on scope exit. A
+/// null `hist` makes it inert (no clock read): HMDIV_OBS_SCOPED_TIMER
+/// passes null while profiling is disabled.
 class ScopedTimer {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// Always records into `hist` (no enabled() gate) — for direct API use.
-  explicit ScopedTimer(Histogram& hist)
-      : hist_(&hist), start_(Clock::now()) {}
-
-  /// Records into the global registry's histogram `name` iff profiling is
-  /// runtime-enabled at construction; otherwise inert (no clock read).
-  explicit ScopedTimer(const char* name);
+  explicit ScopedTimer(Histogram* hist) noexcept : hist_(hist) {
+    if (hist_ != nullptr) start_ = Clock::now();
+  }
 
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
@@ -179,21 +163,19 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;
   std::uint64_t min = 0;
   std::uint64_t max = 0;
-  std::uint64_t p50 = 0;
-  std::uint64_t p90 = 0;
-  std::uint64_t p99 = 0;
   /// Raw per-bucket counts (length Histogram::kBuckets when produced by
   /// snapshot()). Carrying them makes snapshots *mergeable*: bucket counts
-  /// sum exactly, whereas the derived p50/p90/p99 above cannot be combined.
+  /// sum exactly, whereas derived quantiles cannot be combined.
   std::vector<std::uint64_t> buckets;
 };
 
-/// Report-side quantile over a snapshot's raw bucket counts, using the
-/// same bucket-upper-bound convention as Histogram::quantile, clamped to
-/// the snapshot's [min, max]. This is how
-/// derived quantiles the snapshot does not pre-compute (e.g. p99.9) are
-/// rendered without widening HistogramSnapshot. Falls back to `max` when
-/// the buckets vector is absent or the target lies past it.
+/// The q-quantile (q in [0,1]) of a snapshot: the upper bound of the
+/// bucket holding it, clamped to the snapshot's [min, max], so it is exact
+/// to within a factor of two and never reads outside the recorded range.
+/// 0 when empty; `max` when the buckets vector is absent or the target
+/// lies past it. The one quantile function: the profile table, the
+/// profile CSV and the daemon's metrics reply all read their p50 to p99.9
+/// through it.
 [[nodiscard]] std::uint64_t snapshot_quantile(const HistogramSnapshot& h,
                                               double q) noexcept;
 
@@ -251,21 +233,12 @@ class Registry {
 [[nodiscard]] Snapshot snapshot_delta(const Snapshot& before,
                                       const Snapshot& after);
 
-/// Stable binary serialization of a snapshot (little-endian, length-
-/// prefixed strings) — the payload of the shard protocol's obs frames.
-/// parse_snapshot(serialize_snapshot(s)) reproduces `s` field-for-field;
-/// malformed bytes throw std::runtime_error, including element counts
-/// longer than the bytes behind them (checked before anything is sized).
-[[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(const Snapshot& s);
-[[nodiscard]] Snapshot parse_snapshot(
-    std::span<const std::uint8_t> bytes);
-
 }  // namespace hmdiv::obs
 
 // Instrumentation macros — the only way production code should emit
-// metrics. They compile to nothing when HMDIV_OBS is 0 and cost one
-// relaxed load + branch when profiling is runtime-disabled.
-#if HMDIV_OBS
+// metrics. Each call site resolves its metric once, in a function-local
+// static, the first time it runs while profiling is enabled; while
+// disabled a macro costs one relaxed load + branch.
 
 /// Adds `n` to the global counter `name` (a string literal).
 #define HMDIV_OBS_COUNT(name, n)                                      \
@@ -280,14 +253,15 @@ class Registry {
 #define HMDIV_OBS_CONCAT_IMPL(a, b) a##b
 #define HMDIV_OBS_CONCAT(a, b) HMDIV_OBS_CONCAT_IMPL(a, b)
 
-/// Times the enclosing scope into the global histogram `name` (ns).
-#define HMDIV_OBS_SCOPED_TIMER(name)              \
-  ::hmdiv::obs::ScopedTimer HMDIV_OBS_CONCAT(     \
-      hmdiv_obs_timer_, __COUNTER__) { name }
-
-#else  // !HMDIV_OBS
-
-#define HMDIV_OBS_COUNT(name, n) static_cast<void>(0)
-#define HMDIV_OBS_SCOPED_TIMER(name) static_cast<void>(0)
-
-#endif  // HMDIV_OBS
+/// Times the enclosing scope into the global histogram `name` (a string
+/// literal, ns).
+#define HMDIV_OBS_SCOPED_TIMER(name)                                  \
+  ::hmdiv::obs::ScopedTimer HMDIV_OBS_CONCAT(hmdiv_obs_timer_,        \
+                                             __COUNTER__) {           \
+    ::hmdiv::obs::enabled() ? [] {                                    \
+      static ::hmdiv::obs::Histogram* const hmdiv_obs_histogram_ =    \
+          &::hmdiv::obs::Registry::global().histogram(name);          \
+      return hmdiv_obs_histogram_;                                    \
+    }()                                                               \
+                            : nullptr                                 \
+  }

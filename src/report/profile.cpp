@@ -45,7 +45,10 @@ std::string profile_table(const obs::Snapshot& snapshot) {
                              static_cast<double>(h.count);
       timers.row({h.name, count_string(h.count),
                   fixed(static_cast<double>(h.sum) / 1e6, 2),
-                  fixed(mean_ns / 1e3, 1), us(h.p50), us(h.p90), us(h.p99),
+                  fixed(mean_ns / 1e3, 1),
+                  us(obs::snapshot_quantile(h, 0.50)),
+                  us(obs::snapshot_quantile(h, 0.90)),
+                  us(obs::snapshot_quantile(h, 0.99)),
                   us(obs::snapshot_quantile(h, 0.999)), us(h.max)});
     }
     out << timers << '\n';
@@ -62,12 +65,12 @@ void write_profile_csv(std::ostream& os, const obs::Snapshot& snapshot) {
              "", ""});
   }
   for (const auto& h : snapshot.histograms) {
-    // p99.9 is derived from the raw buckets the snapshot carries, same as
-    // the serve metrics endpoint.
     csv.row({"histogram", h.name, std::to_string(h.count),
              std::to_string(h.sum), std::to_string(h.min),
-             std::to_string(h.max), std::to_string(h.p50),
-             std::to_string(h.p90), std::to_string(h.p99),
+             std::to_string(h.max),
+             std::to_string(obs::snapshot_quantile(h, 0.50)),
+             std::to_string(obs::snapshot_quantile(h, 0.90)),
+             std::to_string(obs::snapshot_quantile(h, 0.99)),
              std::to_string(obs::snapshot_quantile(h, 0.999))});
   }
 }

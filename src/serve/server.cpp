@@ -25,6 +25,9 @@ namespace hmdiv::serve {
 
 namespace {
 
+/// Pending-connection queue length passed to listen().
+constexpr int kListenBacklog = 128;
+
 /// poll() with EINTR retry (signals — the daemon's own SIGTERM, or any
 /// handler an embedding process installs — must not surface as transport
 /// errors; the shutdown signal is observed via the wake pipe, not via
@@ -147,7 +150,7 @@ void Server::start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
           0 ||
-      ::listen(listen_fd_, options_.listen_backlog) != 0) {
+      ::listen(listen_fd_, kListenBacklog) != 0) {
     const std::string reason = std::strerror(errno);
     close_quietly(listen_fd_);
     close_quietly(wake_pipe_[0]);

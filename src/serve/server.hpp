@@ -43,7 +43,6 @@ struct ServerOptions {
   /// closed (connection-level shedding, ahead of request admission).
   std::size_t max_connections = 64;
   std::size_t max_line_bytes = 1 << 20;
-  int listen_backlog = 128;
   /// Bound on one blocking send; a peer that stops reading for longer is
   /// treated as gone (counted as serve.conn.send_timeout and closed).
   int send_timeout_seconds = 10;

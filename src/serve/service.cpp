@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "core/model_io.hpp"
 #include "exec/config.hpp"
@@ -873,16 +874,13 @@ void Service::handle_metrics(const Loaded*, const Parsed&, RequestScratch&,
     append_json_uint(out, h.min);
     out += ",\"max\":";
     append_json_uint(out, h.max);
-    out += ",\"p50\":";
-    append_json_uint(out, h.p50);
-    out += ",\"p90\":";
-    append_json_uint(out, h.p90);
-    out += ",\"p99\":";
-    append_json_uint(out, h.p99);
-    // Derived report-side from the raw buckets the snapshot carries; the
-    // histogram itself never stores a p99.9.
-    out += ",\"p999\":";
-    append_json_uint(out, obs::snapshot_quantile(h, 0.999));
+    for (const auto& [key, q] : {std::pair{",\"p50\":", 0.50},
+                                 std::pair{",\"p90\":", 0.90},
+                                 std::pair{",\"p99\":", 0.99},
+                                 std::pair{",\"p999\":", 0.999}}) {
+      out += key;
+      append_json_uint(out, obs::snapshot_quantile(h, q));
+    }
     out += '}';
   }
   out += '}';

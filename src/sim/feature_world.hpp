@@ -41,7 +41,6 @@ class FeatureWorld final : public World {
   [[nodiscard]] std::unique_ptr<World> clone() const override {
     return std::make_unique<FeatureWorld>(*this);
   }
-  [[nodiscard]] bool cloneable() const override { return true; }
   /// Stateless (clone-reusable) iff the reader cannot adapt: adaptation
   /// frozen, or a zero adaptation rate (observe() is then a no-op). Case
   /// ids advance per simulated case but never reach a CaseRecord.

@@ -51,7 +51,6 @@ class TabularWorld final : public World {
   [[nodiscard]] std::unique_ptr<World> clone() const override {
     return std::make_unique<TabularWorld>(*this);
   }
-  [[nodiscard]] bool cloneable() const override { return true; }
   /// Model and profile are immutable: simulation leaves no state behind,
   /// so trial runs may reuse one clone across batches.
   [[nodiscard]] bool stateless() const override { return true; }

@@ -133,18 +133,6 @@ std::vector<CaseRecord> TrialRunner::run_batches(std::uint64_t seed,
         std::span<CaseRecord>(records).subspan(begin, end - begin),
         batch_rng);
   };
-  if (!world_.cloneable()) {
-    // No clone: same batch/substream layout, executed serially on the
-    // shared world (stateful worlds keep evolving across batches).
-    HMDIV_OBS_COUNT("sim.trial.serial_fallbacks", 1);
-    exec::parallel_for_chunks(
-        total, kBatchSize,
-        [&](std::size_t begin, std::size_t end, std::size_t batch) {
-          run_batch(world_, begin, end, batch);
-        },
-        exec::Config::serial());
-    return records;
-  }
   if (world_.stateless()) {
     // Stateless worlds: borrow clones from a pool and reuse them across
     // batches — at most one allocation per concurrent batch per run.

@@ -56,19 +56,11 @@ class World {
   [[nodiscard]] virtual const std::vector<std::string>& class_names()
       const = 0;
 
-  /// Returns an independent copy of this world, or nullptr when the world
-  /// cannot be duplicated. Parallel trial runs give each case batch its
-  /// own clone (so per-run state such as reader adaptation restarts per
-  /// batch); worlds without a clone fall back to a single-threaded run.
-  [[nodiscard]] virtual std::unique_ptr<World> clone() const {
-    return nullptr;
-  }
-
-  /// True iff clone() would return non-null. The default probes clone()
-  /// itself (allocate + destroy); worlds that implement clone() should
-  /// override this with a constant so TrialRunner's capability check is
-  /// free on every run.
-  [[nodiscard]] virtual bool cloneable() const { return clone() != nullptr; }
+  /// Returns an independent copy of this world. Parallel trial runs give
+  /// each case batch its own clone (so per-run state such as reader
+  /// adaptation restarts per batch), or reuse pooled clones when the
+  /// world is stateless().
+  [[nodiscard]] virtual std::unique_ptr<World> clone() const = 0;
 
   /// True iff simulating cases leaves no observable state behind, i.e.
   /// simulate_batch on a clone yields the same records whether the clone
@@ -116,9 +108,8 @@ class TrialRunner {
   /// engine: batch b runs the world's batched kernel (simulate_batch) with
   /// substream Rng(seed, b), and records are merged in case order —
   /// bit-identical output for any thread count. Stateless worlds draw
-  /// their clones from a reused per-run pool; stateful cloneable worlds
-  /// get a fresh clone per batch; worlds whose clone() is null run the
-  /// same batched substream scheme serially on the shared world instead.
+  /// their clones from a reused per-run pool; stateful worlds get a fresh
+  /// clone per batch.
   [[nodiscard]] TrialData run(
       std::uint64_t seed,
       const exec::Config& config = exec::default_config());

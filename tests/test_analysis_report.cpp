@@ -37,18 +37,19 @@ TEST(AnalysisReport, TextModeDropsMarkdown) {
   EXPECT_NE(text.find("== Model parameters =="), std::string::npos);
 }
 
-TEST(AnalysisReport, SectionsCanBeDisabled) {
+TEST(AnalysisReport, DesignAdviceCanBeDisabled) {
   ReportOptions options;
-  options.include_parameters = false;
-  options.include_sensitivities = false;
   options.include_design_advice = false;
   const auto text = analysis_report(paper::example_model(),
                                     paper::trial_profile(),
                                     paper::field_profile(), options);
-  EXPECT_EQ(text.find("## Model parameters"), std::string::npos);
-  EXPECT_EQ(text.find("## Sensitivities"), std::string::npos);
   EXPECT_EQ(text.find("## Design advice"), std::string::npos);
+  EXPECT_EQ(text.find("best machine-improvement target"), std::string::npos);
+  // Every other section stays.
+  EXPECT_NE(text.find("## Model parameters"), std::string::npos);
+  EXPECT_NE(text.find("## System failure probabilities"), std::string::npos);
   EXPECT_NE(text.find("## Eq. (10) decomposition"), std::string::npos);
+  EXPECT_NE(text.find("## Sensitivities"), std::string::npos);
 }
 
 TEST(AnalysisReport, ValidatesProfiles) {

@@ -2,9 +2,9 @@
 // path is the reference implementation of each world's case distribution;
 // simulate_batch may consume randomness in a different order but must be
 // distributionally equivalent (chi-square on the class mix, two-proportion
-// z-tests on the failure rates). Clone reuse and the serial fallback must
-// be *bit*-identical to the per-batch fresh-clone scheme — the batched
-// (seed, batch-substream) layout is the single golden stream per world.
+// z-tests on the failure rates). Clone reuse must be *bit*-identical to
+// the per-batch fresh-clone scheme — the batched (seed, batch-substream)
+// layout is the single golden stream per world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -61,28 +61,9 @@ class ScalarOnlyWorld final : public World {
     static const std::vector<std::string> names{"easy", "difficult"};
     return names;
   }
-};
-
-/// Forwards both kernels to a wrapped world but refuses to clone, forcing
-/// TrialRunner onto the serial fallback with the same substream layout.
-class UncloneableWorld final : public World {
- public:
-  explicit UncloneableWorld(World& inner) : inner_(inner) {}
-  [[nodiscard]] CaseRecord simulate_case(stats::Rng& rng) override {
-    return inner_.simulate_case(rng);
+  [[nodiscard]] std::unique_ptr<World> clone() const override {
+    return std::make_unique<ScalarOnlyWorld>();
   }
-  void simulate_batch(std::span<CaseRecord> out, stats::Rng& rng) override {
-    inner_.simulate_batch(out, rng);
-  }
-  [[nodiscard]] std::size_t class_count() const override {
-    return inner_.class_count();
-  }
-  [[nodiscard]] const std::vector<std::string>& class_names() const override {
-    return inner_.class_names();
-  }
-
- private:
-  World& inner_;
 };
 
 TEST(BatchSim, DefaultBatchIsTheSequentialScalarLoop) {
@@ -98,27 +79,24 @@ TEST(BatchSim, DefaultBatchIsTheSequentialScalarLoop) {
 
 TEST(BatchSim, DefaultCapabilityQueriesMatchCloneBehaviour) {
   ScalarOnlyWorld plain;
-  EXPECT_EQ(plain.clone(), nullptr);
-  EXPECT_FALSE(plain.cloneable());
-  EXPECT_FALSE(plain.stateless());
+  EXPECT_NE(plain.clone(), nullptr);
+  EXPECT_FALSE(plain.stateless());  // the base-class default
 
   TabularWorld tabular(core::paper::example_model(),
                        core::paper::trial_profile());
   EXPECT_NE(tabular.clone(), nullptr);
-  EXPECT_TRUE(tabular.cloneable());
   EXPECT_TRUE(tabular.stateless());
 
   // The reference reader is static (adaptation_rate = 0), so the world is
   // stateless even with adaptation nominally enabled; give it a learning
   // rate and it becomes stateful until adaptation is frozen.
   const FeatureWorld reference = reference_feature_world();
-  EXPECT_TRUE(reference.cloneable());
+  EXPECT_NE(reference.clone(), nullptr);
   EXPECT_TRUE(reference.stateless());
   ReaderModel::Config adapting = reference.reader().config();
   adapting.adaptation_rate = 0.1;
   FeatureWorld feature(reference.generator(), reference.cadt(),
                        ReaderModel(adapting));
-  EXPECT_TRUE(feature.cloneable());
   EXPECT_FALSE(feature.stateless());
   feature.set_adaptation_enabled(false);
   EXPECT_TRUE(feature.stateless());
@@ -245,26 +223,6 @@ TEST(BatchSim, CloneReuseIsBitIdenticalToClonePerBatch) {
       ASSERT_TRUE(same_record(data.records[i], baseline[i]))
           << "threads " << threads << " case " << i;
     }
-  }
-}
-
-TEST(BatchSim, SerialFallbackKeepsTheBatchedStream) {
-  // A world that cannot clone runs serially but must still produce the
-  // canonical (seed, batch-substream) records.
-  TabularWorld inner(core::paper::example_model(),
-                     core::paper::trial_profile());
-  UncloneableWorld uncloneable(inner);
-  EXPECT_FALSE(uncloneable.cloneable());
-
-  const std::uint64_t cases = 2 * TrialRunner::kBatchSize + 17;
-  const std::uint64_t seed = 99;
-  TrialRunner pooled(inner, cases);
-  TrialRunner serial(uncloneable, cases);
-  const TrialData expected = pooled.run(seed, exec::Config{4});
-  const TrialData actual = serial.run(seed, exec::Config{4});
-  ASSERT_EQ(actual.records.size(), expected.records.size());
-  for (std::size_t i = 0; i < expected.records.size(); ++i) {
-    ASSERT_TRUE(same_record(actual.records[i], expected.records[i])) << i;
   }
 }
 

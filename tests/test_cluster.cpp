@@ -295,6 +295,14 @@ std::vector<std::uint8_t> echo_handler(const wire::ShardTask& task) {
 const exec::ShardWorkloadRegistration kEchoRegistration{"cluster.echo",
                                                         &echo_handler};
 
+/// Replies with the obs gate as the handler saw it (one byte).
+std::vector<std::uint8_t> gate_probe_handler(const wire::ShardTask&) {
+  return {static_cast<std::uint8_t>(obs::enabled() ? 1 : 0)};
+}
+
+const exec::ShardWorkloadRegistration kGateProbeRegistration{
+    "cluster.gate_probe", &gate_probe_handler};
+
 std::vector<std::uint8_t> task_frame(std::string_view workload,
                                      std::uint32_t shard, std::uint32_t count,
                                      bool obs_enabled = false) {
@@ -340,6 +348,7 @@ TEST(ClusterSessionTest, EchoTaskRoundTrips) {
 
 TEST(ClusterSessionTest, ObsEnabledTaskShipsDeltaFrame) {
   const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);  // a daemon's default; --no-obs turns it off
   exec::ShardSession session;
   const auto replies =
       session.consume(task_frame("cluster.echo", 0, 1, /*obs_enabled=*/true));
@@ -352,7 +361,7 @@ TEST(ClusterSessionTest, ObsEnabledTaskShipsDeltaFrame) {
   EXPECT_EQ(frames[2].type, wire::FrameType::done);
   // The delta covers exactly this task's execution, so the per-task
   // counter must be 1 — not the daemon's uptime total.
-  const obs::Snapshot delta = obs::parse_snapshot(frames[1].payload);
+  const obs::Snapshot delta = wire::parse_snapshot(frames[1].payload);
   bool found = false;
   for (const auto& counter : delta.counters) {
     if (counter.name == "serve.shard.tasks") {
@@ -361,6 +370,26 @@ TEST(ClusterSessionTest, ObsEnabledTaskShipsDeltaFrame) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(ClusterSessionTest, ObsTaskLeavesTheProcessGateAlone) {
+  // A worker started with --no-obs: a task asking for obs must neither
+  // turn the process-wide gate on for its run (the daemon's other
+  // connections would record under it) nor ship an obs frame.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  exec::ShardSession session;
+  const auto replies = session.consume(
+      task_frame("cluster.gate_probe", 0, 1, /*obs_enabled=*/true));
+  const bool after = obs::enabled();
+  obs::set_enabled(was_enabled);
+  EXPECT_FALSE(after);
+  ASSERT_EQ(replies.size(), 1u);
+  const auto frames = parse_reply(replies[0].bytes);
+  ASSERT_EQ(frames.size(), 2u);  // result + done
+  EXPECT_EQ(frames[0].type, wire::FrameType::result);
+  EXPECT_EQ(frames[0].payload, std::vector<std::uint8_t>{0});  // gate off
+  EXPECT_EQ(frames[1].type, wire::FrameType::done);
 }
 
 TEST(ClusterSessionTest, UnknownWorkloadYieldsErrorFrame) {

@@ -32,8 +32,8 @@ const exec::Config kWide{8};
 
 TEST(ExecConfig, ResolvedThreadsNeverZero) {
   EXPECT_GE(exec::Config{}.resolved_threads(), 1U);
+  EXPECT_EQ(exec::Config{1}.resolved_threads(), 1U);
   EXPECT_EQ(exec::Config{3}.resolved_threads(), 3U);
-  EXPECT_EQ(exec::Config::serial().resolved_threads(), 1U);
 }
 
 TEST(ExecConfig, EnvParsing) {

@@ -1,13 +1,11 @@
-// Tests for the obs subsystem: counters, histograms, scoped timers, the
-// global registry, and the instrumentation macros' runtime gate —
-// including thread-safety of concurrent mutation under exec::parallel_for.
+// Tests for the obs subsystem: counters, histograms, snapshot quantiles,
+// scoped timers, the global registry, the instrumentation macros' runtime
+// gate and per-call-site caching, and snapshot merges — including
+// thread-safety of concurrent mutation under exec::parallel_for.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
@@ -21,6 +19,20 @@ class ObsGateGuard {
  public:
   ~ObsGateGuard() { obs::set_enabled(false); }
 };
+
+obs::HistogramSnapshot snapshot_of(const obs::Histogram& h) {
+  obs::HistogramSnapshot snap;
+  snap.name = h.name();
+  snap.count = h.count();
+  snap.sum = h.sum();
+  snap.min = h.min();
+  snap.max = h.max();
+  snap.buckets.resize(obs::Histogram::kBuckets);
+  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
+    snap.buckets[b] = h.bucket(b);
+  }
+  return snap;
+}
 
 TEST(ObsCounter, AddAccumulatesAndResetZeroes) {
   obs::Counter c("c");
@@ -58,16 +70,24 @@ TEST(ObsHistogram, TracksCountSumMinMax) {
 TEST(ObsHistogram, QuantileIsWithinAFactorOfTwo) {
   obs::Histogram h("h");
   for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
+  const obs::HistogramSnapshot snap = snapshot_of(h);
   // The true median is 500; the bucketed answer is its bucket's upper
   // bound, so it lies in [500, 1000).
-  const std::uint64_t p50 = h.quantile(0.5);
+  const std::uint64_t p50 = obs::snapshot_quantile(snap, 0.5);
   EXPECT_GE(p50, 500U);
   EXPECT_LT(p50, 1000U);
-  const std::uint64_t p99 = h.quantile(0.99);
+  const std::uint64_t p99 = obs::snapshot_quantile(snap, 0.99);
   EXPECT_GE(p99, 990U);
   EXPECT_LE(p99, 2U * 990U);
-  EXPECT_GE(h.quantile(1.0), h.quantile(0.0));
-  EXPECT_EQ(obs::Histogram("empty").quantile(0.5), 0U);
+  EXPECT_GE(obs::snapshot_quantile(snap, 1.0),
+            obs::snapshot_quantile(snap, 0.0));
+  EXPECT_EQ(obs::snapshot_quantile(snapshot_of(obs::Histogram("empty")), 0.5),
+            0U);
+  // A tail value keeps p99.9 above the median.
+  h.record(1'000'000);
+  const obs::HistogramSnapshot tail = snapshot_of(h);
+  EXPECT_GT(obs::snapshot_quantile(tail, 0.999),
+            obs::snapshot_quantile(tail, 0.5));
 }
 
 TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
@@ -75,21 +95,15 @@ TEST(ObsHistogram, QuantilesStayWithinTheObservedRange) {
   // bound (4194 us) used to be reported as every quantile — above max.
   obs::Histogram h("h");
   h.record(2'906'000);
-  obs::HistogramSnapshot snap;
-  snap.count = h.count();
-  snap.min = h.min();
-  snap.max = h.max();
-  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-    snap.buckets.push_back(h.bucket(b));
-  }
+  const obs::HistogramSnapshot one = snapshot_of(h);
   for (const double q : {0.0, 0.5, 0.99, 1.0}) {
-    EXPECT_EQ(h.quantile(q), 2'906'000U) << "q=" << q;
-    EXPECT_EQ(obs::snapshot_quantile(snap, q), 2'906'000U) << "q=" << q;
+    EXPECT_EQ(obs::snapshot_quantile(one, q), 2'906'000U) << "q=" << q;
   }
   // With a spread, interior quantiles keep their bucket bounds.
   h.record(1'500);
-  EXPECT_EQ(h.quantile(0.0), 2'047U);
-  EXPECT_EQ(h.quantile(1.0), 2'906'000U);
+  const obs::HistogramSnapshot spread = snapshot_of(h);
+  EXPECT_EQ(obs::snapshot_quantile(spread, 0.0), 2'047U);
+  EXPECT_EQ(obs::snapshot_quantile(spread, 1.0), 2'906'000U);
 }
 
 TEST(ObsHistogram, RecordsZeroAndResets) {
@@ -104,7 +118,7 @@ TEST(ObsHistogram, RecordsZeroAndResets) {
   EXPECT_EQ(h.sum(), 0U);
   EXPECT_EQ(h.min(), 0U);
   EXPECT_EQ(h.max(), 0U);
-  EXPECT_EQ(h.quantile(0.5), 0U);
+  EXPECT_EQ(obs::snapshot_quantile(snapshot_of(h), 0.5), 0U);
 }
 
 TEST(ObsHistogram, ConcurrentRecordsAreExactOnCountAndSum) {
@@ -118,26 +132,6 @@ TEST(ObsHistogram, ConcurrentRecordsAreExactOnCountAndSum) {
   EXPECT_EQ(h.max(), 1023U);
 }
 
-TEST(ObsHistogram, SnapshotQuantileMatchesLiveQuantile) {
-  // snapshot_quantile is the report-side twin of Histogram::quantile
-  // (used by the serve metrics endpoint for p99.9); over the same bucket
-  // counts the two must agree exactly.
-  obs::Histogram h("h");
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
-  h.record(1'000'000);  // a tail value so p99.9 and p50 differ
-  obs::HistogramSnapshot snap;
-  snap.count = h.count();
-  snap.max = h.max();
-  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-    snap.buckets.push_back(h.bucket(b));
-  }
-  for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    EXPECT_EQ(obs::snapshot_quantile(snap, q), h.quantile(q)) << "q=" << q;
-  }
-  EXPECT_GT(obs::snapshot_quantile(snap, 0.999),
-            obs::snapshot_quantile(snap, 0.5));
-}
-
 TEST(ObsHistogram, SnapshotQuantileEdgeCases) {
   const obs::HistogramSnapshot empty;
   EXPECT_EQ(obs::snapshot_quantile(empty, 0.5), 0U);
@@ -148,24 +142,16 @@ TEST(ObsHistogram, SnapshotQuantileEdgeCases) {
   EXPECT_EQ(obs::snapshot_quantile(bare, 0.99), 1234U);
 }
 
-TEST(ObsScopedTimer, DirectHistogramFormAlwaysRecords) {
+TEST(ObsScopedTimer, RecordsIntoItsHistogramAndNullIsInert) {
   obs::Histogram h("h");
   {
-    obs::ScopedTimer t(h);
+    obs::ScopedTimer t(&h);
     volatile int sink = 0;
     for (int i = 0; i < 1000; ++i) sink = sink + i;
   }
   EXPECT_EQ(h.count(), 1U);
-}
-
-TEST(ObsScopedTimer, NamedFormIsInertWhileDisabled) {
-  ObsGateGuard guard;
-  obs::set_enabled(false);
-  obs::Registry::global().reset();
-  { obs::ScopedTimer t("obs.test.disabled_timer_ns"); }
-  for (const auto& h : obs::registry_snapshot().histograms) {
-    EXPECT_NE(h.name, "obs.test.disabled_timer_ns");
-  }
+  { obs::ScopedTimer inert(nullptr); }  // nothing to record into
+  EXPECT_EQ(h.count(), 1U);
 }
 
 TEST(ObsRegistry, LookupIsStableAndLazy) {
@@ -212,7 +198,7 @@ TEST(ObsRegistry, SnapshotReportsSortedMetrics) {
       saw_hist = true;
       EXPECT_EQ(h.count, 1U);
       EXPECT_EQ(h.sum, 16U);
-      EXPECT_GE(h.p50, 16U);
+      EXPECT_GE(obs::snapshot_quantile(h, 0.5), 16U);
     }
   }
   EXPECT_TRUE(saw_hist);
@@ -247,7 +233,37 @@ TEST(ObsMacros, DisabledGateMakesCountANoOp) {
   }
 }
 
-#if HMDIV_OBS
+TEST(ObsMacros, DisabledGateMakesTimerInert) {
+  ObsGateGuard guard;
+  obs::set_enabled(false);
+  { HMDIV_OBS_SCOPED_TIMER("obs.test.disabled_timer_ns"); }
+  for (const auto& h : obs::registry_snapshot().histograms) {
+    EXPECT_NE(h.name, "obs.test.disabled_timer_ns");
+  }
+}
+
+TEST(ObsMacros, TimerCallSiteKeepsItsHistogram) {
+  // Every run of one call site records into the registry's histogram of
+  // that name, resolved once: a registry reset zeroes it but does not
+  // replace it, and a disabled gate skips it.
+  ObsGateGuard guard;
+  const auto timed_scope = [] {
+    HMDIV_OBS_SCOPED_TIMER("obs.test.call_site_timer_ns");
+  };
+  auto& registry = obs::Registry::global();
+  obs::set_enabled(true);
+  registry.reset();
+  for (int i = 0; i < 3; ++i) timed_scope();
+  obs::Histogram& h = registry.histogram("obs.test.call_site_timer_ns");
+  EXPECT_EQ(h.count(), 3U);
+  registry.reset();
+  timed_scope();
+  EXPECT_EQ(h.count(), 1U);
+  obs::set_enabled(false);
+  timed_scope();
+  EXPECT_EQ(h.count(), 1U);
+}
+
 TEST(ObsMacros, EnabledGateCountsAndTimes) {
   ObsGateGuard guard;
   obs::set_enabled(true);
@@ -272,9 +288,8 @@ TEST(ObsMacros, CountUnderParallelForIsExact) {
       exec::Config{8});
   EXPECT_EQ(obs::Registry::global().counter("obs.test.parallel").value(), kN);
 }
-#endif  // HMDIV_OBS
 
-// --- Snapshot merge + serialization (the cluster's obs transport) --------
+// --- Snapshot merge (the cluster's obs transport) -------------------------
 
 const obs::HistogramSnapshot* find_histogram(const obs::Snapshot& snap,
                                              const std::string& name) {
@@ -290,20 +305,6 @@ const obs::CounterSnapshot* find_counter(const obs::Snapshot& snap,
     if (c.name == name) return &c;
   }
   return nullptr;
-}
-
-obs::HistogramSnapshot snapshot_of(const obs::Histogram& h) {
-  obs::HistogramSnapshot snap;
-  snap.name = h.name();
-  snap.count = h.count();
-  snap.sum = h.sum();
-  snap.min = h.min();
-  snap.max = h.max();
-  snap.buckets.resize(obs::Histogram::kBuckets);
-  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-    snap.buckets[b] = h.bucket(b);
-  }
-  return snap;
 }
 
 TEST(ObsMerge, HistogramMergeSumsBucketsNotQuantiles) {
@@ -325,7 +326,8 @@ TEST(ObsMerge, HistogramMergeSumsBucketsNotQuantiles) {
   EXPECT_EQ(left.bucket(21), 1U);
   // The merged p99 bound reflects the large recording, not a re-binned
   // average of the two sides.
-  EXPECT_GE(left.quantile(0.99), std::uint64_t{1} << 20);
+  EXPECT_GE(obs::snapshot_quantile(snapshot_of(left), 0.99),
+            std::uint64_t{1} << 20);
 }
 
 TEST(ObsMerge, HistogramMergeOfEmptySnapshotIsIdentity) {
@@ -365,63 +367,6 @@ TEST(ObsMerge, RegistryMergeAddsCountersAndCreatesMissingMetrics) {
   EXPECT_EQ(hist->sum, 32U);
 }
 
-TEST(ObsMerge, SnapshotSerializationRoundTrips) {
-  obs::Snapshot snap;
-  snap.counters.push_back({"a.counter", 42});
-  snap.counters.push_back({"b.counter", 0});
-  obs::Histogram hist("a.hist_ns");
-  hist.record(0);
-  hist.record(1000);
-  snap.histograms.push_back(snapshot_of(hist));
-
-  const obs::Snapshot back = obs::parse_snapshot(serialize_snapshot(snap));
-  ASSERT_EQ(back.counters.size(), 2U);
-  EXPECT_EQ(back.counters[0].name, "a.counter");
-  EXPECT_EQ(back.counters[0].value, 42U);
-  ASSERT_EQ(back.histograms.size(), 1U);
-  EXPECT_EQ(back.histograms[0].name, "a.hist_ns");
-  EXPECT_EQ(back.histograms[0].count, 2U);
-  EXPECT_EQ(back.histograms[0].sum, 1000U);
-  EXPECT_EQ(back.histograms[0].buckets, snap.histograms[0].buckets);
-}
-
-TEST(ObsMerge, ParseRejectsTruncatedAndTrailingBytes) {
-  obs::Snapshot snap;
-  snap.counters.push_back({"c", 1});
-  std::vector<std::uint8_t> bytes = obs::serialize_snapshot(snap);
-  std::vector<std::uint8_t> truncated(bytes.begin(), bytes.end() - 2);
-  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(truncated)),
-               std::runtime_error);
-  bytes.push_back(0);
-  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(bytes)),
-               std::runtime_error);
-}
-
-TEST(ObsMerge, ParseBoundsCountsByThePayload) {
-  // A 16-byte header that claims 2^50 counters (and, separately, 2^50
-  // histograms) must be rejected before anything is sized from the
-  // count: an obs frame arrives from a remote worker and is untrusted.
-  const std::vector<std::uint8_t> empty =
-      obs::serialize_snapshot(obs::Snapshot{});
-  const auto with_count = [&](std::size_t at) {
-    std::vector<std::uint8_t> bytes(
-        empty.begin(), empty.begin() + static_cast<std::ptrdiff_t>(at));
-    const std::uint64_t huge = std::uint64_t{1} << 50;
-    for (int b = 0; b < 8; ++b) {
-      bytes.push_back(static_cast<std::uint8_t>(huge >> (8 * b)));
-    }
-    return bytes;
-  };
-  const std::vector<std::uint8_t> counters = with_count(8);  // after version
-  ASSERT_EQ(counters.size(), 16u);
-  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(counters)),
-               std::runtime_error);
-  const std::vector<std::uint8_t> histograms = with_count(16);
-  EXPECT_THROW(static_cast<void>(obs::parse_snapshot(histograms)),
-               std::runtime_error);
-}
-
-#if HMDIV_OBS
 TEST(ObsMerge, MergedWorkerCountsEqualSingleProcessRun) {
   // The shard invariant at the registry level: N workers each tallying a
   // slice under parallel_for, merged into the parent, must equal one
@@ -445,7 +390,6 @@ TEST(ObsMerge, MergedWorkerCountsEqualSingleProcessRun) {
 
   EXPECT_EQ(registry.counter("obs.test.sharded").value(), 2 * kN);
 }
-#endif  // HMDIV_OBS
 
 }  // namespace
 }  // namespace hmdiv

@@ -177,7 +177,6 @@ TEST(Programme, ComparePoliciesIsDeterministicInSeed) {
   }
 }
 
-#if HMDIV_OBS
 TEST(Programme, ProfiledRunsRecordTheirSpans) {
   // The spans `programme_comparison --profile` and its siblings print.
   const bool was_enabled = obs::enabled();
@@ -198,7 +197,6 @@ TEST(Programme, ProfiledRunsRecordTheirSpans) {
   EXPECT_EQ(programme.count(), programme_before + 1);
   EXPECT_EQ(truth.count(), truth_before + 1);
 }
-#endif  // HMDIV_OBS
 
 TEST(Programme, RejectsZeroCases) {
   const auto world = fixture();

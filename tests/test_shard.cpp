@@ -1,5 +1,6 @@
 // Tests for the HMDF shard wire protocol (exec/shard_protocol.hpp), for
-// the workload decoders' defences against hostile task blobs, and for the
+// the obs-frame and workload decoders' defences against hostile bytes, and
+// for the
 // workers' handling of partitions a coordinator never cuts. The
 // bit-identity of every sharded workload is covered end to end by the
 // cluster suites in tests/test_cluster.cpp.
@@ -22,6 +23,7 @@
 #include "core/uncertainty_shard.hpp"
 #include "exec/cluster_protocol.hpp"
 #include "exec/config.hpp"
+#include "obs/obs.hpp"
 #include "sim/trial_shard.hpp"
 
 namespace hmdiv {
@@ -367,6 +369,100 @@ TEST(ShardProtocol, DoneFrameRoundTrips) {
   const std::vector<std::uint8_t> trailing{1, 0, 0, 0, 9};
   EXPECT_THROW(static_cast<void>(wire::parse_done(trailing)),
                wire::ProtocolError);
+}
+
+// --- Obs frames -------------------------------------------------------------
+
+obs::Snapshot sample_snapshot() {
+  obs::Snapshot snap;
+  snap.counters.push_back({"a.counter", 42});
+  snap.counters.push_back({"b.counter", 0});
+  obs::HistogramSnapshot h;
+  h.name = "a.hist_ns";
+  h.count = 2;
+  h.sum = 1000;
+  h.min = 0;
+  h.max = 1000;
+  h.buckets.assign(obs::Histogram::kBuckets, 0);
+  h.buckets[0] = 1;   // the recorded 0
+  h.buckets[10] = 1;  // 1000 lies in [2^9, 2^10)
+  snap.histograms.push_back(h);
+  return snap;
+}
+
+/// The encoding of one histogram named "h" up to its bucket count.
+wire::Writer histogram_header(std::uint64_t buckets) {
+  wire::Writer w;
+  w.u64(0);  // no counters
+  w.u64(1);  // one histogram
+  w.str("h");
+  for (int stat = 0; stat < 4; ++stat) w.u64(0);  // count, sum, min, max
+  w.u64(buckets);
+  return w;
+}
+
+TEST(ShardProtocol, ObsSnapshotRoundTrips) {
+  const obs::Snapshot snap = sample_snapshot();
+  const obs::Snapshot back =
+      wire::parse_snapshot(wire::serialize_snapshot(snap));
+  ASSERT_EQ(back.counters.size(), 2U);
+  EXPECT_EQ(back.counters[0].name, "a.counter");
+  EXPECT_EQ(back.counters[0].value, 42U);
+  EXPECT_EQ(back.counters[1].name, "b.counter");
+  EXPECT_EQ(back.counters[1].value, 0U);
+  ASSERT_EQ(back.histograms.size(), 1U);
+  const obs::HistogramSnapshot& h = back.histograms[0];
+  EXPECT_EQ(h.name, "a.hist_ns");
+  EXPECT_EQ(h.count, 2U);
+  EXPECT_EQ(h.sum, 1000U);
+  EXPECT_EQ(h.min, 0U);
+  EXPECT_EQ(h.max, 1000U);
+  EXPECT_EQ(h.buckets, snap.histograms[0].buckets);
+  EXPECT_TRUE(wire::parse_snapshot(wire::serialize_snapshot({})).empty());
+}
+
+TEST(ShardProtocol, ObsSnapshotRejectsTruncatedAndTrailingBytes) {
+  std::vector<std::uint8_t> bytes = wire::serialize_snapshot(sample_snapshot());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    const std::span<const std::uint8_t> prefix(bytes.data(), n);
+    EXPECT_THROW(static_cast<void>(wire::parse_snapshot(prefix)),
+                 wire::ProtocolError)
+        << n;
+  }
+  bytes.push_back(0);
+  EXPECT_THROW(static_cast<void>(wire::parse_snapshot(bytes)),
+               wire::ProtocolError);
+}
+
+TEST(ShardProtocol, ObsSnapshotBoundsCountsByThePayload) {
+  // A count of 2^50 counters, histograms or buckets must be rejected
+  // before anything is sized from it: an obs frame arrives from a remote
+  // worker and is untrusted.
+  const std::uint64_t huge = std::uint64_t{1} << 50;
+  wire::Writer counters;
+  counters.u64(huge);
+  EXPECT_THROW(static_cast<void>(wire::parse_snapshot(counters.data())),
+               wire::ProtocolError);
+  wire::Writer histograms;
+  histograms.u64(0);
+  histograms.u64(huge);
+  EXPECT_THROW(static_cast<void>(wire::parse_snapshot(histograms.data())),
+               wire::ProtocolError);
+  EXPECT_THROW(
+      static_cast<void>(wire::parse_snapshot(histogram_header(huge).data())),
+      wire::ProtocolError);
+}
+
+TEST(ShardProtocol, ObsSnapshotCapsBucketsAtTheHistogramWidth) {
+  // kBuckets + 1 buckets, every byte present: still more than any
+  // obs::Histogram records, so the frame is malformed.
+  wire::Writer wide = histogram_header(obs::Histogram::kBuckets + 1);
+  for (std::size_t b = 0; b <= obs::Histogram::kBuckets; ++b) wide.u64(0);
+  EXPECT_THROW(static_cast<void>(wire::parse_snapshot(wide.data())),
+               wire::ProtocolError);
+  wire::Writer full = histogram_header(obs::Histogram::kBuckets);
+  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) full.u64(0);
+  EXPECT_EQ(wire::parse_snapshot(full.data()).histograms.size(), 1U);
 }
 
 TEST(ShardProtocol, FrameParserReassemblesAcrossEveryChunkBoundary) {
