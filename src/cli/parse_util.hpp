@@ -23,13 +23,6 @@ namespace hmdiv::cli {
 ///   <program>: <flag> expects an integer in [<lo>, <hi>], got '<value>'
 /// to stderr and exits 2 — malformed input must never silently
 /// misconfigure a run (or a long-lived server).
-/// A parsed "host:port" endpoint. `host` keeps the textual form handed to
-/// getaddrinfo later (IPv6 literals without the brackets).
-struct HostPort {
-  std::string host;
-  std::uint16_t port = 0;
-};
-
 [[nodiscard]] inline unsigned long parse_bounded_ulong(
     const char* program, const char* flag, const std::string& value,
     unsigned long lo, unsigned long hi) {
@@ -50,6 +43,13 @@ struct HostPort {
   }
   return parsed;
 }
+
+/// A parsed "host:port" endpoint. `host` keeps the textual form handed to
+/// getaddrinfo later (IPv6 literals without the brackets).
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
 
 /// Parses `value` as "HOST:PORT" or "[IPV6]:PORT" (the bracketed form is
 /// required for IPv6 literals — a bare one is ambiguous with the port

@@ -52,27 +52,6 @@ Table failure_table(const SequentialModel& model, const DemandProfile& trial,
   return table;
 }
 
-Table decomposition_table(const FailureDecomposition& decomposition) {
-  Table table({"E[PHf|Ms] (floor)", "E[PMf]*E[t]", "cov(PMf,t)", "PHf total"});
-  table.caption("Eq. (10) decomposition of system failure probability");
-  table.align(0, report::Align::kRight);
-  table.row({fixed(decomposition.floor, 4), fixed(decomposition.mean_field, 4),
-             fixed(decomposition.covariance, 4),
-             fixed(decomposition.total(), 4)});
-  return table;
-}
-
-Table scenario_table(const std::vector<ScenarioResult>& results) {
-  Table table({"scenario", "PHf", "PMf", "floor E[PHf|Ms]", "cov(PMf,t)"});
-  table.caption("Extrapolation scenarios (Eq. 8)");
-  for (const auto& r : results) {
-    table.row({r.name, fixed(r.system_failure, 3), fixed(r.machine_failure, 3),
-               fixed(r.failure_floor, 3),
-               fixed(r.decomposition.covariance, 4)});
-  }
-  return table;
-}
-
 Table improvement_table(const std::vector<ImprovementEffect>& effects) {
   Table table({"candidate", "PHf before", "PHf after", "abs. gain",
                "rel. gain", "analytic gain"});

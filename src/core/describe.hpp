@@ -6,7 +6,6 @@
 
 #include "core/demand_profile.hpp"
 #include "core/design_advisor.hpp"
-#include "core/extrapolation.hpp"
 #include "core/sequential_model.hpp"
 #include "report/table.hpp"
 
@@ -23,14 +22,6 @@ namespace hmdiv::core {
 [[nodiscard]] report::Table failure_table(const SequentialModel& model,
                                           const DemandProfile& trial,
                                           const DemandProfile& field);
-
-/// Eq. (10) decomposition as a one-row table.
-[[nodiscard]] report::Table decomposition_table(
-    const FailureDecomposition& decomposition);
-
-/// Scenario results, one row per scenario.
-[[nodiscard]] report::Table scenario_table(
-    const std::vector<ScenarioResult>& results);
 
 /// Improvement candidates ranked by the DesignAdvisor.
 [[nodiscard]] report::Table improvement_table(

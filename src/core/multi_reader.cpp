@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "stats/summary.hpp"
-
 namespace hmdiv::core {
 
 namespace {
@@ -37,81 +35,6 @@ void check_profile_names(const std::vector<std::string>& names,
 }
 
 }  // namespace
-
-DoubleReadingModel::DoubleReadingModel(std::vector<std::string> class_names,
-                                       std::vector<double> reader_a,
-                                       std::vector<double> reader_b)
-    : names_(std::move(class_names)),
-      reader_a_(std::move(reader_a)),
-      reader_b_(std::move(reader_b)) {
-  check_names(names_, "DoubleReadingModel");
-  if (reader_a_.size() != names_.size() || reader_b_.size() != names_.size()) {
-    throw std::invalid_argument(
-        "DoubleReadingModel: reader parameter sizes do not match classes");
-  }
-  for (const double p : reader_a_) check_probability(p, "DoubleReadingModel pA");
-  for (const double p : reader_b_) check_probability(p, "DoubleReadingModel pB");
-}
-
-void DoubleReadingModel::check_class(std::size_t x) const {
-  if (x >= names_.size()) {
-    throw std::invalid_argument("DoubleReadingModel: class index out of range");
-  }
-}
-
-double DoubleReadingModel::system_failure_given_class(std::size_t x) const {
-  check_class(x);
-  return reader_a_[x] * reader_b_[x];
-}
-
-double DoubleReadingModel::system_failure_probability(
-    const DemandProfile& profile) const {
-  check_profile_names(names_, profile, "DoubleReadingModel");
-  double total = 0.0;
-  for (std::size_t x = 0; x < names_.size(); ++x) {
-    total += profile[x] * reader_a_[x] * reader_b_[x];
-  }
-  return total;
-}
-
-double DoubleReadingModel::reader_a_failure(
-    const DemandProfile& profile) const {
-  check_profile_names(names_, profile, "DoubleReadingModel");
-  return profile.expectation(reader_a_);
-}
-
-double DoubleReadingModel::reader_b_failure(
-    const DemandProfile& profile) const {
-  check_profile_names(names_, profile, "DoubleReadingModel");
-  return profile.expectation(reader_b_);
-}
-
-double DoubleReadingModel::failure_covariance(
-    const DemandProfile& profile) const {
-  check_profile_names(names_, profile, "DoubleReadingModel");
-  return stats::weighted_covariance(reader_a_, reader_b_,
-                                    profile.distribution().probabilities());
-}
-
-double DoubleReadingModel::system_failure_with_arbitration(
-    const DemandProfile& profile, const std::vector<double>& arbiter) const {
-  check_profile_names(names_, profile, "DoubleReadingModel");
-  if (arbiter.size() != names_.size()) {
-    throw std::invalid_argument(
-        "DoubleReadingModel: arbiter parameter size mismatch");
-  }
-  for (const double p : arbiter) {
-    check_probability(p, "DoubleReadingModel arbiter");
-  }
-  double total = 0.0;
-  for (std::size_t x = 0; x < names_.size(); ++x) {
-    const double pa = reader_a_[x];
-    const double pb = reader_b_[x];
-    const double disagree = pa * (1.0 - pb) + (1.0 - pa) * pb;
-    total += profile[x] * (pa * pb + disagree * arbiter[x]);
-  }
-  return total;
-}
 
 TwoReadersWithCadtModel::TwoReadersWithCadtModel(
     std::vector<std::string> class_names, std::vector<double> p_machine_fails,

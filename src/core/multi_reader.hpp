@@ -1,16 +1,16 @@
-// Closed-form models of the more complex programmes named in the paper's
+// Closed-form model of the more complex programmes named in the paper's
 // Conclusions: "two readers assisted by a CADT, or less qualified readers
-// assisted by CADTs", plus UK-practice double reading with and without
-// arbitration.
+// assisted by CADTs". (UK-practice double reading with and without
+// arbitration is simulated by screening::DoubleReadingPolicy.)
 //
-// All models stay in the paper's formalism: failure probabilities are
-// conditional on the class of cases (and, where a CADT is present, on the
-// machine's success/failure), with conditional independence *given* those
-// conditioning events. Marginal correlation between readers then arises
-// from the shared difficulty of cases — no unwarranted independence
-// assumption at the system level. The recall rule throughout is
+// The model stays in the paper's formalism: failure probabilities are
+// conditional on the class of cases and on the machine's success/failure,
+// with conditional independence *given* those conditioning events.
+// Marginal correlation between readers then arises from the shared
+// difficulty of cases and the shared CADT output — no unwarranted
+// independence assumption at the system level. The recall rule is
 // "recall if either reader recalls" (1-out-of-2), so a system false
-// negative requires every reader to fail.
+// negative requires both readers to fail.
 #pragma once
 
 #include <cstddef>
@@ -27,46 +27,6 @@ namespace hmdiv::core {
 struct ReaderConditional {
   double p_fail_given_machine_fails = 0.0;
   double p_fail_given_machine_succeeds = 0.0;
-};
-
-/// Double reading without CADT: readers A and B fail independently given
-/// the class; system FN iff both fail.
-class DoubleReadingModel {
- public:
-  /// `reader_a[x]` / `reader_b[x]`: per-class false-negative probabilities.
-  DoubleReadingModel(std::vector<std::string> class_names,
-                     std::vector<double> reader_a,
-                     std::vector<double> reader_b);
-
-  [[nodiscard]] std::size_t class_count() const { return names_.size(); }
-  [[nodiscard]] const std::vector<std::string>& class_names() const {
-    return names_;
-  }
-
-  /// P(system FN | class x) = pA(x)·pB(x).
-  [[nodiscard]] double system_failure_given_class(std::size_t x) const;
-  [[nodiscard]] double system_failure_probability(
-      const DemandProfile& profile) const;
-
-  /// Marginal failure probability of each reader and their Eq.(3)-style
-  /// covariance over the profile — quantifies reader-reader diversity.
-  [[nodiscard]] double reader_a_failure(const DemandProfile& profile) const;
-  [[nodiscard]] double reader_b_failure(const DemandProfile& profile) const;
-  [[nodiscard]] double failure_covariance(const DemandProfile& profile) const;
-
-  /// With arbitration: when exactly one reader recalls, an arbiter with
-  /// per-class failure probability `arbiter[x]` decides. System FN iff both
-  /// fail, or they disagree and the arbiter wrongly sides with "no recall":
-  /// pA·pB + [pA(1−pB) + (1−pA)pB]·pArb.
-  [[nodiscard]] double system_failure_with_arbitration(
-      const DemandProfile& profile, const std::vector<double>& arbiter) const;
-
- private:
-  void check_class(std::size_t x) const;
-
-  std::vector<std::string> names_;
-  std::vector<double> reader_a_;
-  std::vector<double> reader_b_;
 };
 
 /// Two readers, both seeing the same CADT output (the machine processes the

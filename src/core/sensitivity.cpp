@@ -67,26 +67,6 @@ std::vector<ClassSensitivity> sensitivities(const SequentialModel& model,
   return out;
 }
 
-std::vector<ClassSensitivity> elasticities(const SequentialModel& model,
-                                           const DemandProfile& profile) {
-  auto grads = sensitivities(model, profile);
-  const double failure = model.system_failure_probability(profile);
-  if (failure <= 0.0) {
-    for (auto& g : grads) g = ClassSensitivity{};
-    return grads;
-  }
-  for (std::size_t x = 0; x < model.class_count(); ++x) {
-    const ClassConditional& c = model.parameters(x);
-    grads[x].d_machine_failure *= c.p_machine_fails / failure;
-    grads[x].d_human_given_failure *=
-        c.p_human_fails_given_machine_fails / failure;
-    grads[x].d_human_given_success *=
-        c.p_human_fails_given_machine_succeeds / failure;
-    grads[x].d_profile *= profile[x] / failure;
-  }
-  return grads;
-}
-
 double finite_difference_machine_failure(const SequentialModel& model,
                                          const DemandProfile& profile,
                                          std::size_t x, double h) {

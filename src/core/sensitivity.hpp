@@ -36,12 +36,6 @@ struct ClassSensitivity {
 [[nodiscard]] std::vector<ClassSensitivity> sensitivities(
     const SequentialModel& model, const DemandProfile& profile);
 
-/// Elasticities (relative sensitivities): (∂PHf/∂θ)·(θ/PHf). An elasticity
-/// of e means a 1% relative increase in θ produces an e% relative increase
-/// in PHf. Entries are 0 where the parameter or PHf is 0.
-[[nodiscard]] std::vector<ClassSensitivity> elasticities(
-    const SequentialModel& model, const DemandProfile& profile);
-
 /// Central finite-difference check of ∂PHf/∂PMf(x); used by tests and by
 /// sceptical users. `h` is the step in probability units. Evaluates the
 /// perturbed Eq. (8) sums directly (no model copies, no allocation) with

@@ -9,28 +9,6 @@
 
 namespace hmdiv::core {
 
-std::uint64_t required_cases_for_halfwidth(double p_guess, double halfwidth,
-                                           double confidence) {
-  if (!(p_guess >= 0.0 && p_guess <= 1.0)) {
-    throw std::invalid_argument(
-        "required_cases_for_halfwidth: p_guess outside [0,1]");
-  }
-  if (!(halfwidth > 0.0 && halfwidth < 0.5)) {
-    throw std::invalid_argument(
-        "required_cases_for_halfwidth: halfwidth outside (0, 0.5)");
-  }
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument(
-        "required_cases_for_halfwidth: confidence outside (0,1)");
-  }
-  const double z = stats::normal_quantile(0.5 + confidence / 2.0);
-  // Guard p(1-p): at the extremes use the conservative planning value that
-  // a small observed proportion would still produce.
-  const double spread = std::max(p_guess * (1.0 - p_guess), 1e-4);
-  return static_cast<std::uint64_t>(
-      std::ceil(z * z * spread / (halfwidth * halfwidth)));
-}
-
 std::vector<double> variance_coefficients(const SequentialModel& model_guess,
                                           const DemandProfile& field) {
   if (!model_guess.compatible_with(field)) {

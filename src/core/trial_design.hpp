@@ -33,12 +33,6 @@
 
 namespace hmdiv::core {
 
-/// Trial cases needed so that a Wald/Wilson-style interval for a
-/// proportion near `p_guess` has half-width <= `halfwidth` at the given
-/// confidence: n = z^2 p(1-p) / h^2, rounded up.
-[[nodiscard]] std::uint64_t required_cases_for_halfwidth(
-    double p_guess, double halfwidth, double confidence = 0.95);
-
 /// The delta-method variance coefficients c_x (see file comment).
 [[nodiscard]] std::vector<double> variance_coefficients(
     const SequentialModel& model_guess, const DemandProfile& field);

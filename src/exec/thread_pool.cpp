@@ -36,8 +36,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-bool ThreadPool::on_worker_thread() noexcept { return tl_on_worker_thread; }
-
 ThreadPool& ThreadPool::global() {
   // Floor of 3 helpers so that multi-thread code paths (and TSan runs) are
   // genuinely concurrent even on small machines; idle helpers cost nothing,

@@ -50,9 +50,6 @@ class ThreadPool {
   void run_indexed(std::size_t count, unsigned max_threads,
                    FunctionRef<void(std::size_t)> fn);
 
-  /// True while the current thread is a pool helper executing a job.
-  [[nodiscard]] static bool on_worker_thread() noexcept;
-
   /// The process-wide shared pool, sized to hardware_concurrency() − 1
   /// helpers. Started on first use.
   [[nodiscard]] static ThreadPool& global();

@@ -42,27 +42,4 @@ std::vector<double> birnbaum_importances(const Structure& structure,
   return out;
 }
 
-double improvement_potential(const Structure& structure,
-                             std::span<const double> success,
-                             std::size_t index) {
-  if (index >= structure.component_count()) {
-    throw std::invalid_argument("improvement_potential: index out of range");
-  }
-  const double up = evaluate(structure, with_component(success, index, 1.0));
-  return up - evaluate(structure, success);
-}
-
-double criticality_importance(const Structure& structure,
-                              std::span<const double> success,
-                              std::size_t index) {
-  if (index >= structure.component_count()) {
-    throw std::invalid_argument("criticality_importance: index out of range");
-  }
-  const double system_failure = 1.0 - evaluate(structure, success);
-  if (system_failure <= 0.0) return 0.0;
-  const double component_failure = 1.0 - success[index];
-  return birnbaum_importance(structure, success, index) * component_failure /
-         system_failure;
-}
-
 }  // namespace hmdiv::rbd

@@ -31,18 +31,4 @@ namespace hmdiv::rbd {
 [[nodiscard]] std::vector<double> birnbaum_importances(
     const Structure& structure, std::span<const double> success);
 
-/// Improvement potential: how much system success would gain if component
-/// `index` became perfect: success(p with p_i := 1) − success(p).
-[[nodiscard]] double improvement_potential(const Structure& structure,
-                                           std::span<const double> success,
-                                           std::size_t index);
-
-/// Criticality importance: Birnbaum importance scaled by the component's
-/// failure probability relative to system failure probability. Ranks
-/// components by their contribution to observed system failures.
-/// Returns 0 when the system never fails.
-[[nodiscard]] double criticality_importance(const Structure& structure,
-                                            std::span<const double> success,
-                                            std::size_t index);
-
 }  // namespace hmdiv::rbd

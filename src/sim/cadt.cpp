@@ -21,16 +21,6 @@ bool CadtModel::prompts(const Case& c, stats::Rng& rng) const {
   return rng.bernoulli(prompt_probability(c.machine_difficulty));
 }
 
-double CadtModel::sample_score(double machine_difficulty,
-                               stats::Rng& rng) const {
-  const double margin =
-      config_.capability - (machine_difficulty + config_.threshold_shift);
-  // Logistic(0, 1/slope) noise by inverse-CDF; u in (0,1) guaranteed by
-  // nudging the endpoints.
-  const double u = std::min(std::max(rng.uniform(), 1e-15), 1.0 - 1e-15);
-  return margin + std::log(u / (1.0 - u)) / config_.sensitivity_slope;
-}
-
 CadtModel CadtModel::with_threshold_shift(double delta) const {
   Config modified = config_;
   modified.threshold_shift += delta;

@@ -43,14 +43,6 @@ class CadtModel {
   /// Simulates the CADT on one case: true = prompted (machine success).
   [[nodiscard]] bool prompts(const Case& c, stats::Rng& rng) const;
 
-  /// Samples the detector's latent decision score for a case of the given
-  /// machine difficulty: margin + logistic noise with scale
-  /// 1/sensitivity_slope. The CADT prompts iff the score is positive, so
-  /// P(sample_score > 0) == prompt_probability — scores expose the ROC
-  /// behaviour of the detector (see core/roc.hpp).
-  [[nodiscard]] double sample_score(double machine_difficulty,
-                                    stats::Rng& rng) const;
-
   /// A copy with the operating point shifted by `delta` (added to
   /// threshold_shift): the "different tuning of the detection algorithms"
   /// of Section 5 item 4.

@@ -95,46 +95,6 @@ BootstrapResult bootstrap_percentile(std::span<const double> sample,
   return summarise(estimate, values, confidence);
 }
 
-BootstrapResult bootstrap_paired(std::span<const double> x,
-                                 std::span<const double> y,
-                                 const PairedStatistic& statistic, Rng& rng,
-                                 std::size_t replicates, double confidence,
-                                 const exec::Config& config) {
-  if (x.size() != y.size()) {
-    throw std::invalid_argument("bootstrap_paired: size mismatch");
-  }
-  check_args(x.size(), replicates, confidence);
-  HMDIV_OBS_SCOPED_TIMER("stats.bootstrap.run_ns");
-  HMDIV_OBS_COUNT("stats.bootstrap.calls", 1);
-  HMDIV_OBS_COUNT("stats.bootstrap.replicates", replicates);
-  const double estimate = statistic(x, y);
-  const std::uint64_t base = rng.next_u64();
-  exec::Workspace& workspace = exec::thread_workspace();
-  const exec::Workspace::Scope scope(workspace);
-  const std::span<double> values = workspace.alloc<double>(replicates);
-  exec::parallel_for_chunks(
-      replicates, kReplicateGrain,
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        // Same per-worker arena scratch as bootstrap_percentile.
-        exec::Workspace& local = exec::thread_workspace();
-        const exec::Workspace::Scope chunk_scope(local);
-        const std::span<double> rx = local.alloc<double>(x.size());
-        const std::span<double> ry = local.alloc<double>(y.size());
-        for (std::size_t r = begin; r < end; ++r) {
-          Rng replicate_rng(base, r);
-          for (std::size_t i = 0; i < x.size(); ++i) {
-            const auto j = static_cast<std::size_t>(
-                replicate_rng.uniform_index(x.size()));
-            rx[i] = x[j];
-            ry[i] = y[j];
-          }
-          values[r] = statistic(rx, ry);
-        }
-      },
-      config);
-  return summarise(estimate, values, confidence);
-}
-
 BootstrapResult bootstrap_counts(std::span<const std::uint64_t> cells,
                                  const CountStatistic& statistic, Rng& rng,
                                  std::size_t replicates, double confidence,

@@ -7,9 +7,9 @@
 // caller's generator, so results are bit-identical for any thread count
 // (the caller's rng advances by exactly one step either way).
 //
-// bootstrap_percentile and bootstrap_paired resample cases one by one;
-// bootstrap_counts resamples a table of cell counts in one multinomial
-// draw (DESIGN.md §17), for statistics that depend only on those counts.
+// bootstrap_percentile resamples cases one by one; bootstrap_counts
+// resamples a table of cell counts in one multinomial draw (DESIGN.md
+// §17), for statistics that depend only on those counts.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +41,6 @@ using Statistic = std::function<double(std::span<const double>)>;
 [[nodiscard]] BootstrapResult bootstrap_percentile(
     std::span<const double> sample, const Statistic& statistic, Rng& rng,
     std::size_t replicates = 2000, double confidence = 0.95,
-    const exec::Config& config = exec::default_config());
-
-/// Paired bootstrap for statistics of two aligned samples (x_i, y_i), e.g.
-/// a correlation. The pairs are resampled jointly.
-using PairedStatistic =
-    std::function<double(std::span<const double>, std::span<const double>)>;
-
-[[nodiscard]] BootstrapResult bootstrap_paired(
-    std::span<const double> x, std::span<const double> y,
-    const PairedStatistic& statistic, Rng& rng, std::size_t replicates = 2000,
-    double confidence = 0.95,
     const exec::Config& config = exec::default_config());
 
 /// A statistic of a table of cell counts (e.g. the K×4 class × machine ×

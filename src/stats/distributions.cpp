@@ -46,10 +46,6 @@ double beta_cdf(double a, double b, double x) {
   return regularized_incomplete_beta(a, b, x);
 }
 
-double beta_quantile(double a, double b, double p) {
-  return inverse_regularized_incomplete_beta(a, b, p);
-}
-
 namespace {
 
 /// Shared validation: finite, non-negative, sum within 1e-9 of 1. Returns

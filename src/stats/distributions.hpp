@@ -1,6 +1,6 @@
 // Probability distributions used by the models, estimators and simulators:
-// binomial and beta pmf/pdf/cdf/quantiles, normal wrappers, and a validated
-// discrete distribution type used for demand profiles.
+// binomial and beta pmf/pdf/cdf, and a validated discrete distribution
+// type used for demand profiles.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,6 @@ class Rng;
 
 /// Beta(a, b) cumulative distribution at x.
 [[nodiscard]] double beta_cdf(double a, double b, double x);
-
-/// Beta(a, b) quantile for probability p.
-[[nodiscard]] double beta_quantile(double a, double b, double p);
 
 /// A validated probability distribution over a fixed number of categories.
 ///

@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "stats/distributions.hpp"
 #include "stats/special.hpp"
 
 namespace hmdiv::stats {
@@ -39,16 +38,6 @@ ProportionInterval clipped(double lo, double hi) {
 
 }  // namespace
 
-ProportionInterval wald_interval(std::uint64_t successes, std::uint64_t trials,
-                                 double confidence) {
-  check_counts(successes, trials);
-  const double z = z_for(confidence);
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(successes) / n;
-  const double half = z * std::sqrt(p * (1.0 - p) / n);
-  return clipped(p - half, p + half);
-}
-
 ProportionInterval wilson_interval(std::uint64_t successes,
                                    std::uint64_t trials, double confidence) {
   check_counts(successes, trials);
@@ -61,51 +50,6 @@ ProportionInterval wilson_interval(std::uint64_t successes,
   const double half =
       z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
   return clipped(centre - half, centre + half);
-}
-
-ProportionInterval agresti_coull_interval(std::uint64_t successes,
-                                          std::uint64_t trials,
-                                          double confidence) {
-  check_counts(successes, trials);
-  const double z = z_for(confidence);
-  const double z2 = z * z;
-  const double n_tilde = static_cast<double>(trials) + z2;
-  const double p_tilde = (static_cast<double>(successes) + z2 / 2.0) / n_tilde;
-  const double half = z * std::sqrt(p_tilde * (1.0 - p_tilde) / n_tilde);
-  return clipped(p_tilde - half, p_tilde + half);
-}
-
-ProportionInterval clopper_pearson_interval(std::uint64_t successes,
-                                            std::uint64_t trials,
-                                            double confidence) {
-  check_counts(successes, trials);
-  const double alpha = 1.0 - confidence;
-  if (!(alpha > 0.0 && alpha < 1.0)) {
-    throw std::invalid_argument("confidence must lie in (0,1)");
-  }
-  const double k = static_cast<double>(successes);
-  const double n = static_cast<double>(trials);
-  const double lo =
-      successes == 0 ? 0.0 : beta_quantile(k, n - k + 1.0, alpha / 2.0);
-  const double hi = successes == trials
-                        ? 1.0
-                        : beta_quantile(k + 1.0, n - k, 1.0 - alpha / 2.0);
-  return clipped(lo, hi);
-}
-
-ProportionInterval jeffreys_interval(std::uint64_t successes,
-                                     std::uint64_t trials, double confidence) {
-  check_counts(successes, trials);
-  if (!(confidence > 0.0 && confidence < 1.0)) {
-    throw std::invalid_argument("confidence must lie in (0,1)");
-  }
-  const double alpha = 1.0 - confidence;
-  const double a = static_cast<double>(successes) + 0.5;
-  const double b = static_cast<double>(trials - successes) + 0.5;
-  const double lo = successes == 0 ? 0.0 : beta_quantile(a, b, alpha / 2.0);
-  const double hi =
-      successes == trials ? 1.0 : beta_quantile(a, b, 1.0 - alpha / 2.0);
-  return clipped(lo, hi);
 }
 
 }  // namespace hmdiv::stats

@@ -1,4 +1,4 @@
-// Binomial proportion confidence intervals.
+// Binomial proportion confidence interval (Wilson score).
 //
 // The simulated-trial estimator reports each model parameter (PMf, PHf|Mf,
 // PHf|Ms per class of cases) with an interval; the paper assumes "narrow
@@ -21,29 +21,10 @@ struct ProportionInterval {
   [[nodiscard]] double width() const { return upper - lower; }
 };
 
-/// Wald (normal approximation) interval. Included for completeness; known to
-/// undercover for small n or extreme p.
-[[nodiscard]] ProportionInterval wald_interval(std::uint64_t successes,
-                                               std::uint64_t trials,
-                                               double confidence = 0.95);
-
-/// Wilson score interval — good coverage across the range; the default used
-/// by the trial estimator.
+/// Wilson score interval — good coverage across the range, including small
+/// n and extreme p; the interval the trial estimator reports.
 [[nodiscard]] ProportionInterval wilson_interval(std::uint64_t successes,
                                                  std::uint64_t trials,
                                                  double confidence = 0.95);
-
-/// Agresti–Coull ("add two successes and two failures") interval.
-[[nodiscard]] ProportionInterval agresti_coull_interval(
-    std::uint64_t successes, std::uint64_t trials, double confidence = 0.95);
-
-/// Clopper–Pearson exact interval via beta quantiles. Conservative.
-[[nodiscard]] ProportionInterval clopper_pearson_interval(
-    std::uint64_t successes, std::uint64_t trials, double confidence = 0.95);
-
-/// Jeffreys (Bayesian, Beta(1/2,1/2) prior) equal-tailed interval.
-[[nodiscard]] ProportionInterval jeffreys_interval(std::uint64_t successes,
-                                                   std::uint64_t trials,
-                                                   double confidence = 0.95);
 
 }  // namespace hmdiv::stats

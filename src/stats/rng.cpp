@@ -153,16 +153,6 @@ inline double icdf_lower_tail(double p) noexcept {
 /// scratch (a few such arrays) stays a handful of KiB of stack.
 constexpr std::size_t kFillBlock = 256;
 
-/// Pass 1 of fill_normal_icdf: shift the 53-bit uniforms off the endpoints
-/// and run the central rational over every lane. Branch-free, so the whole
-/// loop (including the one division) vectorises.
-HMDIV_RNG_TARGET_CLONES void icdf_central_block(double* __restrict__ p,
-                                        double* __restrict__ z,
-                                                std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) p[i] += 0x1.0p-54;
-  for (std::size_t i = 0; i < n; ++i) z[i] = icdf_central(p[i]);
-}
-
 /// Fused pass 1 of fill_gamma: run the central inverse-CDF rational and
 /// the Marsaglia–Tsang squeeze in one branch-free traversal. Writes the
 /// normal deviate (z), the candidate value d·v³ and the squeeze flag per
@@ -296,31 +286,6 @@ void Rng::fill_uniform_pair(std::span<double> p, double* u) noexcept {
     const std::uint64_t r = next_u64();
     p[j] = (static_cast<double>(r >> 32) + 0.5) * 0x1.0p-32;
     u[j] = (static_cast<double>(r & 0xFFFFFFFFULL) + 0.5) * 0x1.0p-32;
-  }
-}
-
-void Rng::fill_normal_icdf(std::span<double> out) noexcept {
-  double p[kFillBlock];
-  std::size_t start = 0;
-  while (start < out.size()) {
-    const std::size_t n = std::min(kFillBlock, out.size() - start);
-    fill_uniform({p, n});
-    double* z = out.data() + start;
-    // fill_uniform yields k * 2^-53 with k in [0, 2^53): pass 1 shifts by
-    // half an ulp to (k + 0.5) * 2^-53, strictly inside (0, 1), so the
-    // tail logs below never see 0 and no lane can produce an infinity;
-    // then the central rational runs over every lane. Tail lanes get a
-    // finite garbage value, fixed up in pass 2.
-    icdf_central_block(p, z, n);
-    // Pass 2: ~4.85% of lanes fall in a tail and take the scalar log path.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (p[i] < kIcdfPLow) {
-        z[i] = icdf_lower_tail(p[i]);
-      } else if (p[i] > 1.0 - kIcdfPLow) {
-        z[i] = -icdf_lower_tail(1.0 - p[i]);
-      }
-    }
-    start += n;
   }
 }
 
@@ -675,27 +640,6 @@ std::size_t Rng::discrete(std::span<const double> weights) {
     if (target < 0.0) return i;
   }
   return weights.size() - 1;  // Numerical edge: land on the last bucket.
-}
-
-void Rng::jump() noexcept {
-  // Jump polynomial published with xoshiro256** (Blackman & Vigna):
-  // advances the state by exactly 2^128 steps of next_u64().
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-      0x39ABDC4529B1661CULL};
-  std::array<std::uint64_t, 4> gathered{};
-  for (const std::uint64_t word : kJump) {
-    for (int bit = 0; bit < 64; ++bit) {
-      if ((word & (1ULL << bit)) != 0) {
-        for (std::size_t i = 0; i < state_.size(); ++i) {
-          gathered[i] ^= state_[i];
-        }
-      }
-      (void)next_u64();
-    }
-  }
-  state_ = gathered;
-  has_spare_normal_ = false;
 }
 
 Rng Rng::split(std::uint64_t stream_id) const noexcept {

@@ -58,16 +58,6 @@ class Rng {
   /// normal() out.size() times (including the cached-spare behaviour).
   void fill_normal(std::span<double> out) noexcept;
 
-  /// Fills `out` with standard normal deviates via the Acklam inverse-CDF
-  /// rational applied to one uniform per lane. Branch-free over the central
-  /// 95.15% of lanes, so the whole block vectorises — unlike the polar
-  /// method, whose per-pair rejection loop is inherently serial. NOT
-  /// bit-identical to fill_normal()/normal(): same distribution (the
-  /// rational's relative error is ~1e-9, far below anything a KS test can
-  /// resolve), different stream mapping (one u64 per deviate). This is the
-  /// normal primitive of the batched gamma/beta kernels below.
-  void fill_normal_icdf(std::span<double> out) noexcept;
-
   /// Uniform double in [lo, hi); requires lo <= hi.
   double uniform(double lo, double hi);
 
@@ -110,11 +100,12 @@ class Rng {
   double beta(const GammaPrep& a, const GammaPrep& b);
 
   /// Fills `out` with Gamma(shape, 1) draws for the prep's shape. Batched
-  /// Marsaglia–Tsang: each candidate lane takes one engine step (split
-  /// into a normal via the inverse-CDF transform of fill_normal_icdf and a
-  /// squeeze uniform), the squeeze test runs branch-free over whole lanes,
-  /// and the rejected lanes are compacted into an index list and refilled
-  /// in blocks until none remain. Equivalent to gamma(prep) in
+  /// Marsaglia–Tsang: each candidate lane takes one engine step, split
+  /// into a squeeze uniform and a normal from Acklam's inverse-CDF
+  /// rational (icdf_central, fused with the squeeze test into the
+  /// branch-free gamma_candidate_block, and icdf_lower_tail for the ~5% of
+  /// lanes in a tail). The rejected lanes are compacted into an index list
+  /// and refilled in blocks until none remain. Equivalent to gamma(prep) in
   /// distribution, NOT bitwise (different stream consumption). All scratch
   /// is fixed-size stack blocks — no heap allocation at all.
   void fill_gamma(const GammaPrep& prep, std::span<double> out) noexcept;
@@ -148,16 +139,10 @@ class Rng {
   /// weights (not necessarily normalised). Throws if all weights are zero.
   std::size_t discrete(std::span<const double> weights);
 
-  /// Returns a new engine whose stream is independent of this one (keyed
-  /// jump: hashes the current state with `stream_id`). Use to give each
+  /// Returns a new engine whose stream is independent of this one (it
+  /// hashes the current state with `stream_id`). Use to give each
   /// simulated entity — reader, CADT, case stream — its own generator.
   [[nodiscard]] Rng split(std::uint64_t stream_id) const noexcept;
-
-  /// Advances the engine by 2^128 steps (the xoshiro256** jump
-  /// polynomial): repeated jumps partition one seed's sequence into
-  /// non-overlapping blocks of 2^128 outputs each. Discards any cached
-  /// normal deviate.
-  void jump() noexcept;
 
   /// Fisher–Yates shuffle.
   template <typename T>

@@ -100,57 +100,6 @@ double regularized_incomplete_beta(double a, double b, double x) {
                    beta_continued_fraction(b, a, 1.0 - x) / b;
 }
 
-double inverse_regularized_incomplete_beta(double a, double b, double p) {
-  if (p < 0.0 || p > 1.0) {
-    throw std::invalid_argument(
-        "inverse_regularized_incomplete_beta: p outside [0,1]");
-  }
-  if (p == 0.0) return 0.0;
-  if (p == 1.0) return 1.0;
-  // Work on whichever tail holds the solution: a quantile near 1 is only
-  // representable as 1 − (complement), and the log-space iteration below
-  // needs the solution on the small-x side to resolve it. The flip cannot
-  // recurse twice because the complementary call sees 1 − p on the other
-  // side of its own midpoint value.
-  if (p > regularized_incomplete_beta(a, b, 0.5)) {
-    return 1.0 - inverse_regularized_incomplete_beta(b, a, 1.0 - p);
-  }
-  double lo = 0.0, hi = 1.0;
-  double x = 0.5;
-  for (int iter = 0; iter < 700; ++iter) {
-    const double value = regularized_incomplete_beta(a, b, x);
-    if (value < p) {
-      lo = x;
-    } else {
-      hi = x;
-    }
-    // Newton in log space: dI/d(log x) = pdf(x)·x, which stays finite for
-    // tiny x even where the density itself overflows (a < 1), and one step
-    // can cross hundreds of decades — required for quantiles such as
-    // I⁻¹(10⁻³, 1, 0.5) ≈ 9.3e-302 that arithmetic bisection never reaches.
-    const double log_deriv = a * std::log(x) + (b - 1.0) * std::log1p(-x) +
-                             std::lgamma(a + b) - std::lgamma(a) -
-                             std::lgamma(b);
-    const double deriv = std::exp(log_deriv);
-    double next = 0.0;
-    if (deriv > 0.0 && std::isfinite(deriv)) {
-      // Cap each move at e^±60 so one flat-derivative step cannot fling the
-      // iterate out of range before the bracket tightens.
-      const double step = std::clamp((value - p) / deriv, -60.0, 60.0);
-      next = x * std::exp(-step);
-    }
-    if (!(next > lo && next < hi)) {
-      // Geometric bisection (midpoint of log x) as the safety net; the
-      // sqrt(lo)·sqrt(hi) form avoids underflow of the product.
-      next = lo > 0.0 ? std::sqrt(lo) * std::sqrt(hi) : hi / 256.0;
-      if (!(next > lo && next < hi)) next = 0.5 * (lo + hi);
-    }
-    if (std::fabs(next - x) <= 1e-15 * x) return next;
-    x = next;
-  }
-  return x;
-}
-
 double regularized_lower_incomplete_gamma(double a, double x) {
   if (a <= 0.0) {
     throw std::invalid_argument("regularized_lower_incomplete_gamma: a <= 0");

@@ -22,11 +22,6 @@ namespace hmdiv::stats {
 /// Regularized incomplete beta function I_x(a, b) for a,b > 0, x in [0,1].
 [[nodiscard]] double regularized_incomplete_beta(double a, double b, double x);
 
-/// Inverse of I_x(a,b) in x (quantile of the Beta(a,b) distribution),
-/// for p in [0,1]. Bisection refined by Newton steps; accurate to ~1e-12.
-[[nodiscard]] double inverse_regularized_incomplete_beta(double a, double b,
-                                                         double p);
-
 /// Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
 [[nodiscard]] double regularized_lower_incomplete_gamma(double a, double x);
 

@@ -62,38 +62,5 @@ TEST(Bootstrap, RejectsBadArguments) {
                std::invalid_argument);
 }
 
-TEST(BootstrapPaired, CorrelationIntervalCoversTruth) {
-  Rng rng(81);
-  // y = 0.8 x + noise: population correlation 0.8/sqrt(0.64+0.36) = 0.8.
-  std::vector<double> x, y;
-  for (int i = 0; i < 600; ++i) {
-    const double xi = rng.normal();
-    x.push_back(xi);
-    y.push_back(0.8 * xi + 0.6 * rng.normal());
-  }
-  const auto result = bootstrap_paired(
-      x, y,
-      [](std::span<const double> a, std::span<const double> b) {
-        return correlation(a, b);
-      },
-      rng, 1500);
-  EXPECT_NEAR(result.estimate, 0.8, 0.08);
-  EXPECT_LT(result.lower, 0.8);
-  EXPECT_GT(result.upper, result.lower);
-}
-
-TEST(BootstrapPaired, RejectsSizeMismatch) {
-  Rng rng(82);
-  const std::vector<double> x{1.0, 2.0};
-  const std::vector<double> y{1.0};
-  EXPECT_THROW(bootstrap_paired(
-                   x, y,
-                   [](std::span<const double>, std::span<const double>) {
-                     return 0.0;
-                   },
-                   rng),
-               std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace hmdiv::stats

@@ -36,27 +36,6 @@ TEST(Describe, FailureTableContainsPaperNumbers) {
   EXPECT_NE(text.find("0.189"), std::string::npos);
 }
 
-TEST(Describe, DecompositionTableSumsUp) {
-  const auto d = paper::example_model().decompose(paper::field_profile());
-  const auto table = decomposition_table(d);
-  const std::string text = table.to_text();
-  EXPECT_NE(text.find("0.1890"), std::string::npos);  // total
-  EXPECT_NE(text.find("0.1660"), std::string::npos);  // floor
-}
-
-TEST(Describe, ScenarioTableOneRowPerScenario) {
-  const Extrapolator e(paper::example_model(), paper::trial_profile());
-  Scenario a;
-  a.name = "alpha";
-  Scenario b;
-  b.name = "beta";
-  b.profile = paper::field_profile();
-  const auto table = scenario_table(e.evaluate_all({a, b}));
-  EXPECT_EQ(table.row_count(), 2u);
-  EXPECT_NE(table.to_text().find("alpha"), std::string::npos);
-  EXPECT_NE(table.to_text().find("beta"), std::string::npos);
-}
-
 TEST(Describe, ImprovementTableShowsGains) {
   const DesignAdvisor advisor(paper::example_model(), paper::field_profile());
   const auto ranked = advisor.rank(

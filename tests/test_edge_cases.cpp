@@ -147,8 +147,6 @@ TEST(EdgeCases, IntervalsAtSingleObservation) {
     EXPECT_GE(wilson.lower, 0.0);
     EXPECT_LE(wilson.upper, 1.0);
     EXPECT_LT(wilson.lower, wilson.upper);
-    const auto exact = stats::clopper_pearson_interval(k, 1);
-    EXPECT_GE(exact.width(), wilson.width() - 1e-9);  // CP is conservative
   }
 }
 

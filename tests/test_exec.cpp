@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/paper_example.hpp"
-#include "core/roc.hpp"
 #include "core/tradeoff.hpp"
 #include "core/trial_design.hpp"
 #include "core/uncertainty.hpp"
@@ -165,27 +164,6 @@ TEST(ExecDeterminism, BootstrapIdenticalAcrossThreadCounts) {
   EXPECT_EQ(rng_a.next_u64(), rng_b.next_u64());
 }
 
-TEST(ExecDeterminism, PairedBootstrapIdenticalAcrossThreadCounts) {
-  std::vector<double> x(300), y(300);
-  stats::Rng fill(22);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = fill.normal();
-    y[i] = 0.5 * x[i] + fill.normal();
-  }
-  const auto diff = [](std::span<const double> a, std::span<const double> b) {
-    double d = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) d += a[i] - b[i];
-    return d / static_cast<double>(a.size());
-  };
-  stats::Rng rng_a(9), rng_b(9);
-  const auto serial =
-      stats::bootstrap_paired(x, y, diff, rng_a, 1000, 0.9, kSerial);
-  const auto wide = stats::bootstrap_paired(x, y, diff, rng_b, 1000, 0.9, kWide);
-  EXPECT_EQ(serial.lower, wide.lower);
-  EXPECT_EQ(serial.upper, wide.upper);
-  EXPECT_EQ(serial.standard_error, wide.standard_error);
-}
-
 TEST(ExecDeterminism, UncertaintyPredictionIdenticalAcrossThreadCounts) {
   const core::PosteriorModelSampler sampler(
       {"easy", "difficult"},
@@ -263,16 +241,6 @@ TEST(ExecDeterminism, TradeoffSweepIdenticalAcrossThreadCounts) {
       analyzer.minimise_cost(100.0, 1.0, -3.0, 3.0, 5000, kWide);
   EXPECT_EQ(best_serial.threshold, best_wide.threshold);
   EXPECT_EQ(best_serial.system_fn, best_wide.system_fn);
-}
-
-TEST(ExecDeterminism, EmpiricalAucIdenticalAcrossThreadCounts) {
-  stats::Rng rng(77);
-  std::vector<double> positives(20'000), negatives(30'000);
-  for (double& p : positives) p = rng.normal(1.0, 1.0);
-  for (double& n : negatives) n = rng.normal(0.0, 1.0);
-  const double serial = core::empirical_auc(positives, negatives, kSerial);
-  const double wide = core::empirical_auc(positives, negatives, kWide);
-  EXPECT_EQ(serial, wide);
 }
 
 TEST(ExecDeterminism, DesignCurveMatchesPointwiseCalls) {

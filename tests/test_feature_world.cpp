@@ -6,6 +6,8 @@
 #include "sim/feature_world.hpp"
 #include "sim/ground_truth.hpp"
 #include "sim/trial.hpp"
+#include "stats/hypothesis.hpp"
+#include "stats/special.hpp"
 
 namespace hmdiv::sim {
 namespace {
@@ -135,6 +137,23 @@ TEST(FeatureWorld, DetailedOutcomeIsConsistent) {
     }
     EXPECT_LT(detail.demand.class_index, 2u);
   }
+}
+
+TEST(KolmogorovSmirnov, SimulatedDifficultiesMatchTheirSpec) {
+  // End-use: the easy class's human difficulty must be
+  // Normal(mean, sigma) as specified.
+  const auto world = reference_feature_world();
+  const auto spec = world.generator().spec(0);
+  stats::Rng rng(13);
+  std::vector<double> sample;
+  for (int i = 0; i < 3000; ++i) {
+    sample.push_back(world.generator().sample_difficulties(0, rng).first);
+  }
+  const auto result = stats::kolmogorov_smirnov_test(sample, [&](double x) {
+    return stats::normal_cdf((x - spec.human_difficulty_mean) /
+                             spec.human_difficulty_sigma);
+  });
+  EXPECT_GT(result.p_value, 0.01);
 }
 
 }  // namespace

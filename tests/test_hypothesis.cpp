@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "stats/rng.hpp"
+#include "stats/special.hpp"
 
 namespace hmdiv::stats {
 namespace {
@@ -104,6 +105,36 @@ TEST(ChiSquare2x2, DegenerateMarginsGiveNoEvidence) {
   const auto r = chi_square_independence_2x2(0, 0, 10, 20);
   EXPECT_EQ(r.p_value, 1.0);
   EXPECT_THROW(chi_square_independence_2x2(0, 0, 0, 0), std::invalid_argument);
+}
+
+TEST(KolmogorovSmirnov, AcceptsMatchingDistribution) {
+  Rng rng(11);
+  std::vector<double> sample;
+  for (int i = 0; i < 2000; ++i) sample.push_back(rng.normal());
+  const auto result = kolmogorov_smirnov_test(
+      sample, [](double x) { return normal_cdf(x); });
+  EXPECT_GT(result.p_value, 0.01);
+  EXPECT_LT(result.statistic, 0.05);
+}
+
+TEST(KolmogorovSmirnov, RejectsShiftedDistribution) {
+  Rng rng(12);
+  std::vector<double> sample;
+  for (int i = 0; i < 2000; ++i) sample.push_back(rng.normal() + 0.3);
+  const auto result = kolmogorov_smirnov_test(
+      sample, [](double x) { return normal_cdf(x); });
+  EXPECT_LT(result.p_value, 1e-6);
+}
+
+TEST(KolmogorovSmirnov, ValidatesInput) {
+  const std::vector<double> empty;
+  EXPECT_THROW(static_cast<void>(kolmogorov_smirnov_test(
+                   empty, [](double) { return 0.5; })),
+               std::invalid_argument);
+  const std::vector<double> sample{0.0, 1.0};
+  EXPECT_THROW(static_cast<void>(kolmogorov_smirnov_test(
+                   sample, [](double) { return 2.0; })),
+               std::invalid_argument);
 }
 
 }  // namespace

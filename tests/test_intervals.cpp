@@ -3,44 +3,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "stats/rng.hpp"
 
 namespace hmdiv::stats {
 namespace {
 
-using IntervalFn = std::function<ProportionInterval(
-    std::uint64_t, std::uint64_t, double)>;
-
-IntervalFn method_by_name(const std::string& name) {
-  if (name == "wald") return [](auto k, auto n, auto c) {
-    return wald_interval(k, n, c);
-  };
-  if (name == "wilson") return [](auto k, auto n, auto c) {
-    return wilson_interval(k, n, c);
-  };
-  if (name == "agresti") return [](auto k, auto n, auto c) {
-    return agresti_coull_interval(k, n, c);
-  };
-  if (name == "clopper") return [](auto k, auto n, auto c) {
-    return clopper_pearson_interval(k, n, c);
-  };
-  return [](auto k, auto n, auto c) { return jeffreys_interval(k, n, c); };
-}
-
+// Coverage properties of a proportion interval, parameterised by interval
+// family. Wilson, the interval the trial estimator reports, is the one
+// family the library implements.
 class IntervalMethod : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(IntervalMethod, BoundsAreOrderedAndClipped) {
-  const auto method = method_by_name(GetParam());
   for (const std::uint64_t n : {1ULL, 5ULL, 30ULL, 1000ULL}) {
     for (std::uint64_t k = 0; k <= n; k += (n > 10 ? n / 7 : 1)) {
-      const auto ci = method(k, n, 0.95);
+      const auto ci = wilson_interval(k, n, 0.95);
       EXPECT_LE(0.0, ci.lower);
       EXPECT_LE(ci.lower, ci.upper);
       EXPECT_LE(ci.upper, 1.0);
@@ -49,32 +29,27 @@ TEST_P(IntervalMethod, BoundsAreOrderedAndClipped) {
 }
 
 TEST_P(IntervalMethod, WidthShrinksWithSampleSize) {
-  const auto method = method_by_name(GetParam());
-  const auto small = method(3, 10, 0.95);
-  const auto large = method(300, 1000, 0.95);
+  const auto small = wilson_interval(3, 10, 0.95);
+  const auto large = wilson_interval(300, 1000, 0.95);
   EXPECT_LT(large.width(), small.width());
 }
 
 TEST_P(IntervalMethod, HigherConfidenceIsWider) {
-  const auto method = method_by_name(GetParam());
-  const auto c90 = method(7, 20, 0.90);
-  const auto c99 = method(7, 20, 0.99);
+  const auto c90 = wilson_interval(7, 20, 0.90);
+  const auto c99 = wilson_interval(7, 20, 0.99);
   EXPECT_GE(c99.width(), c90.width());
 }
 
 TEST_P(IntervalMethod, RejectsBadInput) {
-  const auto method = method_by_name(GetParam());
-  EXPECT_THROW(method(0, 0, 0.95), std::invalid_argument);
-  EXPECT_THROW(method(5, 3, 0.95), std::invalid_argument);
-  EXPECT_THROW(method(1, 3, 0.0), std::invalid_argument);
-  EXPECT_THROW(method(1, 3, 1.0), std::invalid_argument);
+  EXPECT_THROW(wilson_interval(0, 0, 0.95), std::invalid_argument);
+  EXPECT_THROW(wilson_interval(5, 3, 0.95), std::invalid_argument);
+  EXPECT_THROW(wilson_interval(1, 3, 0.0), std::invalid_argument);
+  EXPECT_THROW(wilson_interval(1, 3, 1.0), std::invalid_argument);
 }
 
 /// Empirical coverage: the fraction of simulated binomial samples whose 95%
-/// interval covers the true p must not be far below 0.95 (Wald is the known
-/// offender; we allow it a looser floor).
+/// interval covers the true p must not be far below 0.95.
 TEST_P(IntervalMethod, EmpiricalCoverageNear95Percent) {
-  const auto method = method_by_name(GetParam());
   Rng rng(2026);
   const double p = 0.15;
   const std::uint64_t n = 120;
@@ -82,40 +57,20 @@ TEST_P(IntervalMethod, EmpiricalCoverageNear95Percent) {
   const int replicates = 4000;
   for (int r = 0; r < replicates; ++r) {
     const std::uint64_t k = rng.binomial(n, p);
-    if (method(k, n, 0.95).contains(p)) ++covered;
+    if (wilson_interval(k, n, 0.95).contains(p)) ++covered;
   }
   const double coverage = static_cast<double>(covered) / replicates;
-  const double floor = GetParam() == "wald" ? 0.90 : 0.93;
-  EXPECT_GT(coverage, floor) << GetParam();
+  EXPECT_GT(coverage, 0.93) << GetParam();
   EXPECT_LE(coverage, 1.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Methods, IntervalMethod,
-                         ::testing::Values("wald", "wilson", "agresti",
-                                           "clopper", "jeffreys"));
-
-TEST(Intervals, ClopperPearsonEdgesAreExact) {
-  const auto zero = clopper_pearson_interval(0, 20, 0.95);
-  EXPECT_EQ(zero.lower, 0.0);
-  // Upper bound solves (1-p)^20 = 0.025 => p = 1 - 0.025^{1/20}.
-  EXPECT_NEAR(zero.upper, 1.0 - std::pow(0.025, 1.0 / 20.0), 1e-9);
-  const auto full = clopper_pearson_interval(20, 20, 0.95);
-  EXPECT_EQ(full.upper, 1.0);
-  EXPECT_NEAR(full.lower, std::pow(0.025, 1.0 / 20.0), 1e-9);
-}
+INSTANTIATE_TEST_SUITE_P(Methods, IntervalMethod, ::testing::Values("wilson"));
 
 TEST(Intervals, WilsonContainsPointEstimate) {
   for (std::uint64_t k = 0; k <= 50; k += 5) {
     const auto ci = wilson_interval(k, 50, 0.95);
     EXPECT_TRUE(ci.contains(static_cast<double>(k) / 50.0)) << k;
   }
-}
-
-TEST(Intervals, WaldDegenerateAtExtremes) {
-  // Wald at k=0 collapses to a point — the known pathology.
-  const auto ci = wald_interval(0, 25, 0.95);
-  EXPECT_EQ(ci.lower, 0.0);
-  EXPECT_EQ(ci.upper, 0.0);
 }
 
 }  // namespace

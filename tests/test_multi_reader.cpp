@@ -6,68 +6,11 @@
 #include <stdexcept>
 #include <vector>
 
-#include "stats/summary.hpp"
-
 namespace hmdiv::core {
 namespace {
 
 DemandProfile profile() {
   return DemandProfile({"easy", "difficult"}, {0.8, 0.2});
-}
-
-TEST(DoubleReading, ValidatesConstruction) {
-  EXPECT_THROW(DoubleReadingModel({}, {}, {}), std::invalid_argument);
-  EXPECT_THROW(DoubleReadingModel({"a"}, {0.1, 0.2}, {0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(DoubleReadingModel({"a"}, {1.5}, {0.1}), std::invalid_argument);
-}
-
-TEST(DoubleReading, BothMustFail) {
-  const DoubleReadingModel m({"easy", "difficult"}, {0.1, 0.6}, {0.2, 0.7});
-  EXPECT_NEAR(m.system_failure_given_class(0), 0.02, 1e-12);
-  EXPECT_NEAR(m.system_failure_given_class(1), 0.42, 1e-12);
-  EXPECT_NEAR(m.system_failure_probability(profile()),
-              0.8 * 0.02 + 0.2 * 0.42, 1e-12);
-}
-
-TEST(DoubleReading, BeatsEitherSingleReader) {
-  const DoubleReadingModel m({"easy", "difficult"}, {0.1, 0.6}, {0.2, 0.7});
-  const auto p = profile();
-  EXPECT_LT(m.system_failure_probability(p), m.reader_a_failure(p));
-  EXPECT_LT(m.system_failure_probability(p), m.reader_b_failure(p));
-}
-
-TEST(DoubleReading, SharedDifficultyInducesPositiveCovariance) {
-  const DoubleReadingModel m({"easy", "difficult"}, {0.1, 0.6}, {0.2, 0.7});
-  const auto p = profile();
-  const double cov = m.failure_covariance(p);
-  EXPECT_GT(cov, 0.0);
-  // Joint failure = product of marginals + covariance (Eq. 3 again).
-  EXPECT_NEAR(m.system_failure_probability(p),
-              m.reader_a_failure(p) * m.reader_b_failure(p) + cov, 1e-12);
-}
-
-TEST(DoubleReading, ArbitrationLiesBetweenAndAndOr) {
-  const DoubleReadingModel m({"easy", "difficult"}, {0.1, 0.6}, {0.2, 0.7});
-  const auto p = profile();
-  const std::vector<double> arbiter{0.15, 0.65};
-  const double with_arb = m.system_failure_with_arbitration(p, arbiter);
-  // "Recall if either" (arbiter never wrongly blocks) is the best case.
-  EXPECT_GT(with_arb, m.system_failure_probability(p));
-  // A perfect arbiter recovers the recall-if-either failure rate.
-  const std::vector<double> perfect{0.0, 0.0};
-  EXPECT_NEAR(m.system_failure_with_arbitration(p, perfect),
-              m.system_failure_probability(p), 1e-12);
-  // An always-wrong arbiter: FN whenever at least one reader fails.
-  const std::vector<double> hopeless{1.0, 1.0};
-  const double anyone_fails = 0.8 * (0.1 + 0.2 - 0.1 * 0.2) +
-                              0.2 * (0.6 + 0.7 - 0.6 * 0.7);
-  EXPECT_NEAR(m.system_failure_with_arbitration(p, hopeless), anyone_fails,
-              1e-12);
-  const std::vector<double> short_arb{0.1};
-  EXPECT_THROW(static_cast<void>(
-                   m.system_failure_with_arbitration(p, short_arb)),
-               std::invalid_argument);
 }
 
 TwoReadersWithCadtModel cadt_pair() {

@@ -1,4 +1,4 @@
-// Unit tests for rbd/importance.hpp (Birnbaum & friends).
+// Unit tests for rbd/importance.hpp (Birnbaum importance).
 #include "rbd/importance.hpp"
 
 #include <gtest/gtest.h>
@@ -66,37 +66,10 @@ TEST(Birnbaum, MatchesCentralDifference) {
   }
 }
 
-TEST(ImprovementPotential, PerfectingAComponent) {
-  const auto s = Structure::series(
-      {Structure::component(0), Structure::component(1)});
-  const std::vector<double> p{0.9, 0.8};
-  EXPECT_NEAR(improvement_potential(s, p, 1), 0.9 - 0.72, 1e-12);
-  EXPECT_NEAR(improvement_potential(s, p, 0), 0.8 - 0.72, 1e-12);
-}
-
-TEST(Criticality, ScalesByFailureShares) {
-  const auto s = Structure::series(
-      {Structure::component(0), Structure::component(1)});
-  const std::vector<double> p{0.9, 0.8};
-  const double system_failure = 1.0 - 0.72;
-  EXPECT_NEAR(criticality_importance(s, p, 0),
-              birnbaum_importance(s, p, 0) * 0.1 / system_failure, 1e-12);
-  EXPECT_NEAR(criticality_importance(s, p, 1),
-              birnbaum_importance(s, p, 1) * 0.2 / system_failure, 1e-12);
-}
-
-TEST(Criticality, ZeroWhenSystemNeverFails) {
-  const auto s = Structure::component(0);
-  const std::vector<double> p{1.0};
-  EXPECT_EQ(criticality_importance(s, p, 0), 0.0);
-}
-
 TEST(Importance, RejectsBadIndex) {
   const auto s = Structure::component(0);
   const std::vector<double> p{0.5};
   EXPECT_THROW(birnbaum_importance(s, p, 1), std::invalid_argument);
-  EXPECT_THROW(improvement_potential(s, p, 1), std::invalid_argument);
-  EXPECT_THROW(criticality_importance(s, p, 1), std::invalid_argument);
 }
 
 TEST(Importance, HandlesSharedComponentsViaEnumeration) {

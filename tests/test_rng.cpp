@@ -205,39 +205,6 @@ TEST(Rng, StreamIsNotXorAlias) {
   EXPECT_LT(equal, 4);
 }
 
-TEST(Rng, JumpIsDeterministic) {
-  Rng a(99), b(99);
-  a.jump();
-  b.jump();
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next_u64(), b.next_u64());
-}
-
-TEST(Rng, JumpedBlocksDoNotOverlap) {
-  // jump() advances by 2^128 steps, so windows taken from consecutive
-  // jumped copies of one engine are disjoint blocks of the same sequence.
-  constexpr int kBlocks = 8;
-  constexpr int kWindow = 4096;
-  std::set<std::uint64_t> seen;
-  Rng rng(2026);
-  for (int block = 0; block < kBlocks; ++block) {
-    Rng window = rng;  // copy: reading the window must not move `rng`
-    for (int i = 0; i < kWindow; ++i) {
-      EXPECT_TRUE(seen.insert(window.next_u64()).second)
-          << "jumped blocks overlap at block " << block << " step " << i;
-    }
-    rng.jump();
-  }
-}
-
-TEST(Rng, JumpChangesTheStream) {
-  Rng jumped(5);
-  jumped.jump();
-  Rng base(5);
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) equal += base.next_u64() == jumped.next_u64() ? 1 : 0;
-  EXPECT_LT(equal, 4);
-}
-
 TEST(Rng, FillUniformMatchesScalarDraws) {
   // The bulk primitive is a loop-hoisted form of uniform(): same stream.
   Rng bulk(77), scalar(77);

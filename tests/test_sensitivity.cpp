@@ -52,21 +52,6 @@ TEST(Sensitivity, MachineDerivativeMatchesFiniteDifference) {
   }
 }
 
-TEST(Sensitivity, ElasticitiesScaleCorrectly) {
-  const auto m = paper::example_model();
-  const auto field = paper::field_profile();
-  const double failure = m.system_failure_probability(field);
-  const auto grads = sensitivities(m, field);
-  const auto elast = elasticities(m, field);
-  for (std::size_t x = 0; x < m.class_count(); ++x) {
-    EXPECT_NEAR(elast[x].d_machine_failure,
-                grads[x].d_machine_failure *
-                    m.parameters(x).p_machine_fails / failure,
-                1e-12)
-        << x;
-  }
-}
-
 TEST(Sensitivity, ValidatesInput) {
   const auto m = paper::example_model();
   const DemandProfile wrong({"x", "y"}, {0.5, 0.5});

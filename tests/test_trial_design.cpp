@@ -16,23 +16,6 @@
 namespace hmdiv::core {
 namespace {
 
-TEST(RequiredCases, MatchesClosedForm) {
-  // z=1.96, p=0.5, h=0.05 -> ~384.1 -> 385.
-  EXPECT_EQ(required_cases_for_halfwidth(0.5, 0.05), 385u);
-  // Smaller p needs fewer cases for the same halfwidth.
-  EXPECT_LT(required_cases_for_halfwidth(0.07, 0.05),
-            required_cases_for_halfwidth(0.5, 0.05));
-  // Tighter halfwidth needs quadratically more cases.
-  const auto wide = required_cases_for_halfwidth(0.3, 0.04);
-  const auto tight = required_cases_for_halfwidth(0.3, 0.02);
-  EXPECT_NEAR(static_cast<double>(tight) / static_cast<double>(wide), 4.0,
-              0.05);
-  EXPECT_THROW(static_cast<void>(required_cases_for_halfwidth(1.5, 0.05)),
-               std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(required_cases_for_halfwidth(0.5, 0.0)),
-               std::invalid_argument);
-}
-
 TEST(VarianceCoefficients, FieldWeightDrivesTheFieldPredictionObjective) {
   // Counter-intuitive but correct: for *field-prediction* precision, the
   // easy class carries the larger coefficient — its 0.9 field weight
