@@ -70,7 +70,7 @@ struct Daemon {
       ::close(out_pipe[0]);
       ::close(out_pipe[1]);
       ::execl(binary.c_str(), binary.c_str(), "--example", "--port", "0",
-              "--threads", "1", "--no-obs", static_cast<char*>(nullptr));
+              "--threads", "1", static_cast<char*>(nullptr));
       ::_exit(127);
     }
     ::close(out_pipe[1]);

@@ -63,7 +63,7 @@ using namespace hmdiv;
          "       hmdiv_analyze --example [--text]\n"
          "\n"
          "--threads N caps the worker threads of Monte-Carlo and sweep\n"
-         "computations (default: all hardware threads, or HMDIV_THREADS).\n"
+         "computations (default: all hardware threads).\n"
          "Results are identical for any thread count.\n"
          "--workers HOST:PORT,... fans the profiling workload out over\n"
          "remote hmdiv_serve daemons via their shard endpoint; --threads\n"
@@ -129,9 +129,10 @@ Improvement parse_improvement(const std::string& spec) {
 /// The Monte-Carlo workload behind --profile: exercises every instrumented
 /// engine phase (counts trial, cell bootstrap, posterior prediction,
 /// threshold sweep + grid minimisation) on the model under analysis, and
-/// prints a short validation table. By the determinism contract the
-/// numbers are identical at any thread count, so the thread floor is
-/// raised to 2 to keep the pool paths observable on single-core hosts.
+/// prints a short validation table. `config` is the --threads budget. By
+/// the determinism contract the numbers are identical at any thread
+/// count, so the thread floor is raised to 2 to keep the pool paths
+/// observable on single-core hosts.
 /// The trial and the bootstrap work on the trial's count table (DESIGN.md
 /// §17): they take microseconds, so they always run in-process. The
 /// posterior, sweep and minimisation phases run in-process on the thread
@@ -142,8 +143,8 @@ void run_profiling_workload(const core::SequentialModel& model,
                             const core::DemandProfile& trial,
                             const core::DemandProfile& field, bool markdown,
                             std::size_t grid_steps, std::size_t samples,
-                            const std::vector<std::string>& workers) {
-  exec::Config config = exec::default_config();
+                            const std::vector<std::string>& workers,
+                            exec::Config config) {
   if (config.resolved_threads() < 2) config = exec::Config{2};
   std::optional<exec::ClusterRunner> cluster;
   if (!workers.empty()) {
@@ -234,6 +235,7 @@ int main(int argc, char** argv) {
   std::size_t grid_steps = 20'000;
   std::size_t samples = 500;
   std::vector<std::string> workers;
+  exec::Config config;
   std::optional<std::string> profile_csv_path;
   core::ReportOptions options;
 
@@ -260,10 +262,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--threads") {
       // Hardened parse shared with every integer flag (parse_util.hpp):
       // trailing garbage, negatives, overflow and out-of-range counts all
-      // exit 2 naming the offending value, same range as HMDIV_THREADS.
-      exec::set_default_config(exec::Config{
-          static_cast<unsigned>(cli::parse_bounded_ulong(
-              "hmdiv_analyze", "--threads", next(), 1, 4096))});
+      // exit 2 naming the offending value.
+      config.threads = static_cast<unsigned>(cli::parse_bounded_ulong(
+          "hmdiv_analyze", "--threads", next(), 1, 4096));
     } else if (arg == "--workers") {
       // Comma-separated worker list; every element must parse as
       // HOST:PORT (or [IPV6]:PORT) and name a connectable port — port 0
@@ -348,7 +349,7 @@ int main(int argc, char** argv) {
 
     if (profile) {
       run_profiling_workload(model, trial, field, options.markdown,
-                             grid_steps, samples, workers);
+                             grid_steps, samples, workers, config);
       const obs::Snapshot snapshot = obs::registry_snapshot();
       std::cout << (options.markdown ? "## Profile (obs registry)\n\n"
                                      : "== Profile (obs registry) ==\n\n")

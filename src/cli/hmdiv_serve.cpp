@@ -2,9 +2,7 @@
 //
 // Usage:
 //   hmdiv_serve --model MODEL_FILE --trial PROFILE_FILE --field PROFILE_FILE
-//               [--bind HOST:PORT] [--port N] [--max-queue N]
-//               [--max-concurrent N] [--max-conns N] [--threads N]
-//               [--deadline-ms N] [--no-obs]
+//               [--bind HOST:PORT] [--port N] [--threads N]
 //   hmdiv_serve --example [--port N] ...
 //
 // Protocol: newline-delimited JSON (one request object per line; see
@@ -30,7 +28,6 @@
 #include "core/paper_example.hpp"
 #include "core/tradeoff_shard.hpp"
 #include "core/uncertainty_shard.hpp"
-#include "exec/config.hpp"
 #include "obs/obs.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
@@ -43,26 +40,18 @@ using namespace hmdiv;
 [[noreturn]] void usage(int exit_code) {
   std::cerr
       << "usage: hmdiv_serve --model FILE --trial FILE --field FILE\n"
-         "                   [--bind HOST:PORT] [--port N] [--max-queue N]\n"
-         "                   [--max-concurrent N] [--max-conns N]\n"
-         "                   [--threads N] [--deadline-ms N]\n"
-         "                   [--no-obs]\n"
+         "                   [--bind HOST:PORT] [--port N] [--threads N]\n"
          "       hmdiv_serve --example [--port N] ...\n"
          "\n"
          "Serves the analysis endpoints (analyze, whatif, sweep, minimise,\n"
          "uq, compare, health, metrics, reload) over a newline-delimited\n"
          "JSON TCP protocol.\n"
-         "--bind HOST:PORT (or [IPV6]:PORT) sets the listen address and\n"
-         "port (default 127.0.0.1:0); --port N sets the port alone (0 =\n"
-         "ephemeral; the bound port is printed on startup).\n"
-         "--max-concurrent N caps requests executing at once (default:\n"
-         "hardware threads); --max-queue N bounds the admission queue\n"
-         "beyond which requests are shed with a structured error\n"
-         "(default 64). --max-conns N caps open connections (default 64).\n"
+         "--bind HOST:PORT sets the listen address and port (default\n"
+         "127.0.0.1:0); HOST must be an IPv4 address. --port N sets the\n"
+         "port alone (0 = ephemeral; the bound port is printed on\n"
+         "startup).\n"
          "--threads N is the per-request compute thread budget (default\n"
-         "1; requests are already parallel across connections).\n"
-         "--deadline-ms N is the default per-request deadline (default\n"
-         "1000). --no-obs disables the serve.* metrics.\n";
+         "1; requests are already parallel across connections).\n";
   std::exit(exit_code);
 }
 
@@ -90,7 +79,6 @@ int main(int argc, char** argv) {
   std::string trial_path;
   std::string field_path;
   bool example = false;
-  bool obs_enabled = true;
   serve::ServiceOptions service_options;
   serve::ServerOptions server_options;
 
@@ -117,24 +105,10 @@ int main(int argc, char** argv) {
           cli::parse_host_port("hmdiv_serve", "--bind", next(i));
       server_options.bind_address = std::move(bind.host);
       server_options.port = bind.port;
-    } else if (arg == "--max-queue") {
-      service_options.max_queue = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--max-queue", next(i), 0, 1'000'000);
-    } else if (arg == "--max-concurrent") {
-      service_options.max_concurrent = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--max-concurrent", next(i), 1, 4096);
-    } else if (arg == "--max-conns") {
-      server_options.max_connections = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--max-conns", next(i), 1, 65536);
     } else if (arg == "--threads") {
       service_options.compute_threads =
           static_cast<unsigned>(cli::parse_bounded_ulong(
               "hmdiv_serve", "--threads", next(i), 1, 4096));
-    } else if (arg == "--deadline-ms") {
-      service_options.default_deadline_ms = cli::parse_bounded_ulong(
-          "hmdiv_serve", "--deadline-ms", next(i), 1, 86'400'000);
-    } else if (arg == "--no-obs") {
-      obs_enabled = false;
     } else if (arg == "--help" || arg == "-h") {
       usage(0);
     } else {
@@ -148,7 +122,7 @@ int main(int argc, char** argv) {
     usage(2);
   }
 
-  obs::set_enabled(obs_enabled);
+  obs::set_enabled(true);
 
   // Anchor the shard-workload translation units (static registrations in
   // static libraries are dead-stripped unless something in the executable

@@ -60,6 +60,8 @@ struct HostPort {
 /// to stderr and exits 2 — the same fail-fast contract as
 /// parse_bounded_ulong, shared by hmdiv_serve --bind and hmdiv_analyze
 /// --workers so the two tools can never drift on what an address is.
+/// Only --workers resolves HOST (through getaddrinfo); the daemon binds
+/// an IPv4 address only (serve::ServerOptions::bind_address).
 [[nodiscard]] inline HostPort parse_host_port(const char* program,
                                               const char* flag,
                                               const std::string& value) {

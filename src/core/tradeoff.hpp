@@ -118,7 +118,7 @@ class TradeoffAnalyzer {
   /// curves scale with the thread budget.
   [[nodiscard]] std::vector<SystemOperatingPoint> sweep(
       const std::vector<double>& thresholds,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// Zero-allocation sweep into caller-provided storage (the engine under
   /// sweep()). Chunks of the grid are dispatched to evaluate_batch in
@@ -126,7 +126,7 @@ class TradeoffAnalyzer {
   /// heap allocation. Requires out.size() == thresholds.size().
   void sweep_into(std::span<const double> thresholds,
                   std::span<SystemOperatingPoint> out,
-                  const exec::Config& config = exec::default_config()) const;
+                  const exec::Config& config = {}) const;
 
   /// Threshold minimising expected cost
   /// cost = prevalence·cost_fn·system_fn + (1−prevalence)·cost_fp·system_fp
@@ -135,7 +135,7 @@ class TradeoffAnalyzer {
   /// wins ties), so the result matches the serial scan exactly.
   [[nodiscard]] SystemOperatingPoint minimise_cost(
       double cost_fn, double cost_fp, double lo, double hi, std::size_t steps,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// The scan under minimise_cost, restricted to global grid indices
   /// [first, last) of the same `steps`-point grid (thresholds are derived
@@ -147,7 +147,7 @@ class TradeoffAnalyzer {
   [[nodiscard]] CostedOperatingPoint minimise_cost_range(
       double cost_fn, double cost_fp, double lo, double hi, std::size_t steps,
       std::size_t first, std::size_t last,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   // Construction parameters, exposed so an identical analyzer can be
   // rebuilt elsewhere (the shard workloads serialize them as IEEE-754 bit

@@ -75,7 +75,7 @@ struct TrialDesign {
 [[nodiscard]] std::vector<TrialDesign> design_curve(
     const SequentialModel& model_guess, const DemandProfile& field,
     const std::vector<double>& budgets,
-    const exec::Config& config = exec::default_config());
+    const exec::Config& config = {});
 
 /// Cases *of class x* needed to pin the importance index t(x) down to
 /// +/- `halfwidth` at the given confidence:

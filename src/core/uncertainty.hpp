@@ -87,7 +87,7 @@ class PosteriorModelSampler {
   [[nodiscard]] UncertainPrediction predict(
       const DemandProfile& profile, stats::Rng& rng, std::size_t draws = 4000,
       double credibility = 0.95,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// Scalar reference for predict(): one substream Rng(base, i) per draw,
   /// three scalar Beta draws per class per draw, full evaluation of
@@ -101,7 +101,7 @@ class PosteriorModelSampler {
   [[nodiscard]] UncertainPrediction predict_reference(
       const DemandProfile& profile, stats::Rng& rng, std::size_t draws = 4000,
       double credibility = 0.95,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// Fills `out` with posterior predictive draws of the system failure
   /// probability under `profile` — the batched sampling stage of
@@ -113,7 +113,7 @@ class PosteriorModelSampler {
   /// exec::thread_workspace() (zero steady-state heap allocations).
   void sample_failure_probabilities(
       const DemandProfile& profile, stats::Rng& rng, std::span<double> out,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// Fixed substream grain of the batched sampler: chunk c always covers
   /// draws [512c, 512c + 512) of a run, regardless of parallelism. This is
@@ -134,7 +134,7 @@ class PosteriorModelSampler {
       const DemandProfile& profile, std::uint64_t base,
       std::size_t total_draws, std::size_t first_chunk,
       std::size_t last_chunk, std::span<double> out,
-      const exec::Config& config = exec::default_config()) const;
+      const exec::Config& config = {}) const;
 
   /// Reduces a vector of posterior predictive draws to mean, stddev and an
   /// equal-tailed credible interval. Partially reorders `draws` in place

@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "exec/cluster_protocol.hpp"
-#include "exec/config.hpp"
 #include "exec/shard_protocol.hpp"
 #include "obs/obs.hpp"
 
@@ -185,7 +184,6 @@ struct ClusterRunner::RunState {
   std::string_view workload;
   std::span<const std::uint8_t> blob;
   std::uint32_t shards = 1;
-  std::uint32_t threads = 1;
   bool ship_obs = false;
   /// Micro-shards not yet dispatched, in dispatch order. A sidelined
   /// worker's in-flight shards requeue at the front (oldest first), so
@@ -210,8 +208,6 @@ ClusterRunner::RunState::RunState(const ClusterOptions& run_options,
       workload(run_workload),
       blob(run_blob),
       shards(cluster_shard_count(items, run_conns.size())),
-      threads(run_options.threads ? run_options.threads
-                                  : default_config().threads),
       ship_obs(obs::enabled()),
       payloads(shards),
       last_conn(shards, run_conns.size()) {
@@ -435,7 +431,7 @@ void ClusterRunner::RunState::dispatch(std::size_t index) {
   task.workload = std::string(workload);
   task.shard_index = shard;
   task.shard_count = shards;
-  task.threads = threads;
+  task.threads = options.threads;
   task.obs_enabled = ship_obs;
   task.blob_cached = conn.blob_sent;
   if (!conn.blob_sent) {

@@ -50,8 +50,8 @@ namespace hmdiv::exec {
 struct ClusterOptions {
   /// Worker endpoints ("host:port" or "[v6]:port"), e.g. from --workers.
   std::vector<std::string> workers;
-  /// Thread budget per task on the worker; 0 means this process's default
-  /// thread count.
+  /// Thread budget per task on the worker; 0 ships as 0, and the worker
+  /// then uses all its hardware threads.
   unsigned threads = 0;
   /// Per-task wall-clock budget, measured at the head of each
   /// connection's in-flight queue. On expiry the worker is dropped and

@@ -68,9 +68,9 @@ struct ShardWorkloadRegistration {
 /// false (the caller must not follow an error with a done frame — done
 /// marks successful completion only). Both of the task's settings reach
 /// it through the task itself and leave process state alone: task.threads
-/// is the handler's budget, not the default config, and task.obs_enabled
-/// never flips the obs gate, so concurrent tasks never see each other's
-/// budget and a --no-obs daemon records nothing. Never throws.
+/// is the handler's budget, and task.obs_enabled never flips the obs
+/// gate, so concurrent tasks never see each other's budget and a daemon
+/// whose obs gate is off records nothing. Never throws.
 bool execute_shard_task(const wire::ShardTask& task,
                         std::vector<std::uint8_t>& out);
 

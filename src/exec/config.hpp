@@ -6,10 +6,9 @@
 // the problem size, and every stochastic chunk draws from its own
 // substream RNG — so results are bit-identical for any thread count.
 //
-// The process-wide default is resolved once, on first use, from the
-// HMDIV_THREADS environment variable (a positive integer; unset, 0 or
-// unparsable means "use all hardware threads"). The CLI's --threads flag
-// and tests override it with set_default_config().
+// The thread budget is an argument and nothing else: every parallel call
+// takes a Config, and a call handed none uses `Config{}` (all hardware
+// threads). The CLIs build theirs from --threads.
 #pragma once
 
 namespace hmdiv::exec {
@@ -24,22 +23,5 @@ struct Config {
   /// least 1) when `threads` is 0.
   [[nodiscard]] unsigned resolved_threads() const noexcept;
 };
-
-/// Parses HMDIV_THREADS. Unset or empty yields auto; a malformed value
-/// (non-numeric, trailing garbage, 0, or > 4096) also yields auto but
-/// prints a one-time warning to stderr naming the bad value.
-[[nodiscard]] Config config_from_env() noexcept;
-
-namespace detail {
-/// Testing hook: re-arms the one-time malformed-HMDIV_THREADS warning.
-void reset_env_warning() noexcept;
-}  // namespace detail
-
-/// The process-wide default used by parallel calls that are not handed an
-/// explicit Config. First call resolves it from the environment.
-[[nodiscard]] Config default_config() noexcept;
-
-/// Replaces the process-wide default (e.g. from the --threads CLI flag).
-void set_default_config(Config config) noexcept;
 
 }  // namespace hmdiv::exec

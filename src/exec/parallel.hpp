@@ -41,7 +41,7 @@ namespace hmdiv::exec {
 /// propagate to the caller.
 template <typename Body>
 void parallel_for_chunks(std::size_t n, std::size_t grain, Body&& body,
-                         const Config& config = default_config()) {
+                         const Config& config = {}) {
   if (n == 0) return;
   const std::size_t g = grain == 0 ? 1 : grain;
   const std::size_t chunks = chunk_count(n, g);
@@ -69,7 +69,7 @@ void parallel_for_chunks(std::size_t n, std::size_t grain, Body&& body,
 /// Element-wise parallel loop: body(i) for i in [0, n).
 template <typename Body>
 void parallel_for(std::size_t n, std::size_t grain, Body&& body,
-                  const Config& config = default_config()) {
+                  const Config& config = {}) {
   parallel_for_chunks(
       n, grain,
       [&body](std::size_t begin, std::size_t end, std::size_t) {
@@ -87,7 +87,7 @@ void parallel_for(std::size_t n, std::size_t grain, Body&& body,
 template <typename T, typename MapFn, typename CombineFn>
 [[nodiscard]] T parallel_reduce(std::size_t n, std::size_t grain, T identity,
                                 MapFn&& map_chunk, CombineFn&& combine,
-                                const Config& config = default_config()) {
+                                const Config& config = {}) {
   if (n == 0) return identity;
   const std::size_t chunks = chunk_count(n, grain);
   std::vector<T> partial(chunks, identity);

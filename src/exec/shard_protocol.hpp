@@ -213,7 +213,7 @@ struct ShardTask {
   std::uint32_t threads = 1;
   /// Whether the coordinator wants the worker's metrics: the worker ships
   /// an obs frame iff this is set *and* its own obs gate is on (a daemon
-  /// started with --no-obs ships none). A task never flips the gate.
+  /// whose obs gate is off ships none). A task never flips the gate.
   bool obs_enabled = false;
   /// When true `blob` is empty and the worker must reuse the blob it
   /// cached from the most recent non-cached task on the same connection

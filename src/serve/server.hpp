@@ -36,6 +36,8 @@
 namespace hmdiv::serve {
 
 struct ServerOptions {
+  /// An IPv4 address: start() binds an AF_INET socket, so an IPv6 literal
+  /// or a hostname fails there with "invalid bind address".
   std::string bind_address = "127.0.0.1";
   /// 0 = ephemeral; the bound port is readable via port() after start().
   std::uint16_t port = 0;

@@ -31,7 +31,9 @@ struct RequestError {
 constexpr std::size_t kSweepChunk = 2048;
 constexpr std::size_t kMinimiseChunk = 8192;
 
-/// Cap on the deadline a request may ask for.
+/// Deadline applied when a request carries none, and the cap on the
+/// deadline a request may ask for.
+constexpr std::uint64_t kDefaultDeadlineMs = 1000;
 constexpr std::uint64_t kMaxDeadlineMs = 60'000;
 /// Input bounds on the expensive endpoints.
 constexpr std::uint64_t kMaxSweepSteps = 100'000;
@@ -351,8 +353,8 @@ bool Service::parse_frame(std::string_view line, RequestScratch& scratch,
 
 void Service::validate_request(Parsed& request) const {
   const JsonValue& root = *request.root;
-  // Per-request deadline: requested (capped) or the configured default.
-  std::uint64_t deadline_ms = options_.default_deadline_ms;
+  // Per-request deadline: requested (capped) or the default.
+  std::uint64_t deadline_ms = kDefaultDeadlineMs;
   if (const JsonValue* dl = root.find("deadline_ms");
       dl != nullptr && !dl->is_null()) {
     if (!dl->is_number() || !std::isfinite(dl->number) || dl->number < 1.0 ||

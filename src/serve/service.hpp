@@ -58,8 +58,6 @@
 namespace hmdiv::serve {
 
 struct ServiceOptions {
-  /// Deadline applied when a request carries none.
-  std::uint64_t default_deadline_ms = 1000;
   /// Thread budget for one request's compute (requests are already
   /// parallel across connections; 1 = serial per request).
   unsigned compute_threads = 1;

@@ -112,7 +112,7 @@ class TrialRunner {
   /// clone per batch.
   [[nodiscard]] TrialData run(
       std::uint64_t seed,
-      const exec::Config& config = exec::default_config());
+      const exec::Config& config = {});
 
   /// Total fixed-size batches a run of this trial decomposes into —
   /// ceil(case_count / kBatchSize), the substream index space the shard
@@ -128,7 +128,7 @@ class TrialRunner {
   /// the bit-identical single-process trial.
   [[nodiscard]] std::vector<CaseRecord> run_batches(
       std::uint64_t seed, std::uint64_t first_batch, std::uint64_t last_batch,
-      const exec::Config& config = exec::default_config());
+      const exec::Config& config = {});
 
  private:
   World& world_;

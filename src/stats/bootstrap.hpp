@@ -41,7 +41,7 @@ using Statistic = std::function<double(std::span<const double>)>;
 [[nodiscard]] BootstrapResult bootstrap_percentile(
     std::span<const double> sample, const Statistic& statistic, Rng& rng,
     std::size_t replicates = 2000, double confidence = 0.95,
-    const exec::Config& config = exec::default_config());
+    const exec::Config& config = {});
 
 /// A statistic of a table of cell counts (e.g. the K×4 class × machine ×
 /// human outcome table of a trial).
@@ -58,6 +58,6 @@ using CountStatistic = std::function<double(std::span<const std::uint64_t>)>;
 [[nodiscard]] BootstrapResult bootstrap_counts(
     std::span<const std::uint64_t> cells, const CountStatistic& statistic,
     Rng& rng, std::size_t replicates = 2000, double confidence = 0.95,
-    const exec::Config& config = exec::default_config());
+    const exec::Config& config = {});
 
 }  // namespace hmdiv::stats

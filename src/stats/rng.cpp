@@ -98,21 +98,17 @@ constexpr double kIcdfPLow = 0.02425;
 
 // Same gating as special.cpp: target_clones resolves through an ifunc,
 // which runs before sanitizer runtimes initialise; sanitized builds take
-// the default codegen. Clone selection changes instruction scheduling
-// only — the batched kernels promise distributional equivalence, and the
-// same binary always picks the same clone, so determinism across thread
-// counts is unaffected.
+// the default codegen. The three kernels are cloned for avx2 and default
+// only. Neither target has FMA, so neither clone contracts a multiply-add:
+// both round every operation alike, and clone selection changes
+// vectorisation only. An avx512f clone would differ in both respects: it
+// fuses multiply-adds in the gamma kernel (one rounding where the others
+// round twice) without measuring faster, and GCC 12 scalarises the
+// xoshiro state recurrence of uniform_pair_block into GPRs under it.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
 #define HMDIV_RNG_TARGET_CLONES
-#define HMDIV_RNG_TARGET_CLONES_AVX2
 #else
 #define HMDIV_RNG_TARGET_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-// For the integer-heavy engine kernel only: GCC 12's avx512f codegen
-// scalarises the interleaved state recurrence into GPRs (the resolver
-// would still pick that clone on AVX-512 hardware), while the avx2 clone
-// keeps all four state vectors register-resident. Cap it at AVX2.
-#define HMDIV_RNG_TARGET_CLONES_AVX2 \
   __attribute__((target_clones("avx2", "default")))
 #endif
 
@@ -198,7 +194,7 @@ constexpr std::size_t kUniformLanes = 8;
 /// has no unsigned-quad convert; the result is bit-identical to
 /// static_cast (both halves are < 2³², exactly representable).
 /// n must be a multiple of kUniformLanes.
-HMDIV_RNG_TARGET_CLONES_AVX2 void uniform_pair_block(
+HMDIV_RNG_TARGET_CLONES void uniform_pair_block(
     std::uint64_t* __restrict__ s0, std::uint64_t* __restrict__ s1,
     std::uint64_t* __restrict__ s2, std::uint64_t* __restrict__ s3,
     double* __restrict__ p, double* __restrict__ u, std::size_t n) {

@@ -348,7 +348,7 @@ TEST(ClusterSessionTest, EchoTaskRoundTrips) {
 
 TEST(ClusterSessionTest, ObsEnabledTaskShipsDeltaFrame) {
   const bool was_enabled = obs::enabled();
-  obs::set_enabled(true);  // a daemon's default; --no-obs turns it off
+  obs::set_enabled(true);  // as in a daemon
   exec::ShardSession session;
   const auto replies =
       session.consume(task_frame("cluster.echo", 0, 1, /*obs_enabled=*/true));
@@ -373,7 +373,7 @@ TEST(ClusterSessionTest, ObsEnabledTaskShipsDeltaFrame) {
 }
 
 TEST(ClusterSessionTest, ObsTaskLeavesTheProcessGateAlone) {
-  // A worker started with --no-obs: a task asking for obs must neither
+  // A worker whose obs gate is off: a task asking for obs must neither
   // turn the process-wide gate on for its run (the daemon's other
   // connections would record under it) nor ship an obs frame.
   const bool was_enabled = obs::enabled();
@@ -492,27 +492,6 @@ TEST(ClusterSessionTest, CachedBlobTasksReuseTheConnectionBlob) {
   EXPECT_EQ(blob[0], 1u);
   EXPECT_EQ(blob[1], 2u);
   EXPECT_EQ(blob[2], 3u);
-}
-
-TEST(ClusterSessionTest, TaskThreadBudgetLeavesTheDefaultConfigAlone) {
-  // task.threads reaches the handler through the task; it must not
-  // rewrite the daemon's process-wide default, which concurrent
-  // coordinator connections would otherwise overwrite for each other.
-  const exec::Config saved = exec::default_config();
-  exec::set_default_config(exec::Config{1});
-  wire::ShardTask task;
-  task.workload = "cluster.echo";
-  task.threads = 3;
-  std::vector<std::uint8_t> frame;
-  wire::append_frame(frame, wire::FrameType::task, wire::serialize_task(task));
-  exec::ShardSession session;
-  const auto replies = session.consume(frame);
-  const unsigned after = exec::default_config().threads;
-  exec::set_default_config(saved);
-  ASSERT_EQ(replies.size(), 1u);
-  EXPECT_EQ(parse_reply(replies[0].bytes).front().type,
-            wire::FrameType::result);
-  EXPECT_EQ(after, 1u);
 }
 
 TEST(ClusterSessionTest, CachedTaskWithoutPriorBlobIsAnError) {

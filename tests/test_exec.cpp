@@ -5,10 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "core/paper_example.hpp"
@@ -33,45 +31,6 @@ TEST(ExecConfig, ResolvedThreadsNeverZero) {
   EXPECT_GE(exec::Config{}.resolved_threads(), 1U);
   EXPECT_EQ(exec::Config{1}.resolved_threads(), 1U);
   EXPECT_EQ(exec::Config{3}.resolved_threads(), 3U);
-}
-
-TEST(ExecConfig, EnvParsing) {
-  ASSERT_EQ(setenv("HMDIV_THREADS", "6", 1), 0);
-  EXPECT_EQ(exec::config_from_env().threads, 6U);
-  ASSERT_EQ(setenv("HMDIV_THREADS", "not-a-number", 1), 0);
-  EXPECT_EQ(exec::config_from_env().threads, 0U);
-  ASSERT_EQ(setenv("HMDIV_THREADS", "0", 1), 0);
-  EXPECT_EQ(exec::config_from_env().threads, 0U);
-  ASSERT_EQ(unsetenv("HMDIV_THREADS"), 0);
-  EXPECT_EQ(exec::config_from_env().threads, 0U);
-}
-
-TEST(ExecConfig, EnvParsingWarnsOnceNamingTheBadValue) {
-  // A malformed HMDIV_THREADS used to be ignored silently, so typos like
-  // "HMDIV_THREADS=2x" ran on all cores with no hint why. The fallback
-  // stays the same, but the first malformed read warns on stderr with the
-  // offending value; repeats stay silent (once per process).
-  exec::detail::reset_env_warning();
-  ASSERT_EQ(setenv("HMDIV_THREADS", "2banana", 1), 0);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(exec::config_from_env().threads, 0U);
-  const std::string first = testing::internal::GetCapturedStderr();
-  EXPECT_NE(first.find("HMDIV_THREADS"), std::string::npos);
-  EXPECT_NE(first.find("2banana"), std::string::npos);
-
-  ASSERT_EQ(setenv("HMDIV_THREADS", "9999999", 1), 0);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(exec::config_from_env().threads, 0U);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-
-  // Well-formed values never warn, even with the once-flag reset.
-  exec::detail::reset_env_warning();
-  ASSERT_EQ(setenv("HMDIV_THREADS", "4", 1), 0);
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(exec::config_from_env().threads, 4U);
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
-  ASSERT_EQ(unsetenv("HMDIV_THREADS"), 0);
-  exec::detail::reset_env_warning();
 }
 
 TEST(ExecChunks, ChunkCountCoversRange) {
