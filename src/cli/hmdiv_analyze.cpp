@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
         if (comma == std::string::npos) comma = list.size();
         const std::string element = list.substr(start, comma - start);
         const cli::HostPort parsed =
-            cli::parse_host_port("hmdiv_analyze", "--workers", element);
+            cli::parse_host_port("hmdiv_analyze", "--workers", element,
+                                 "HOST:PORT or [IPV6]:PORT");
         if (parsed.port == 0) {
           std::cerr << "hmdiv_analyze: --workers needs a connectable "
                        "port, got '"

@@ -2,7 +2,7 @@
 //
 // Usage:
 //   hmdiv_serve --model MODEL_FILE --trial PROFILE_FILE --field PROFILE_FILE
-//               [--bind HOST:PORT] [--port N] [--threads N]
+//               [--bind IPV4:PORT] [--port N] [--threads N]
 //   hmdiv_serve --example [--port N] ...
 //
 // Protocol: newline-delimited JSON (one request object per line; see
@@ -15,6 +15,8 @@
 // reports the real one), then serves until SIGTERM/SIGINT. On signal it
 // stops accepting, answers every fully received request, closes every
 // connection and exits 0.
+#include <arpa/inet.h>
+
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -37,19 +39,20 @@ namespace {
 
 using namespace hmdiv;
 
+constexpr const char* kBindForm = "IPV4:PORT";
+
 [[noreturn]] void usage(int exit_code) {
   std::cerr
       << "usage: hmdiv_serve --model FILE --trial FILE --field FILE\n"
-         "                   [--bind HOST:PORT] [--port N] [--threads N]\n"
+         "                   [--bind IPV4:PORT] [--port N] [--threads N]\n"
          "       hmdiv_serve --example [--port N] ...\n"
          "\n"
          "Serves the analysis endpoints (analyze, whatif, sweep, minimise,\n"
          "uq, compare, health, metrics, reload) over a newline-delimited\n"
          "JSON TCP protocol.\n"
-         "--bind HOST:PORT sets the listen address and port (default\n"
-         "127.0.0.1:0); HOST must be an IPv4 address. --port N sets the\n"
-         "port alone (0 = ephemeral; the bound port is printed on\n"
-         "startup).\n"
+         "--bind IPV4:PORT sets the listen address and port (default\n"
+         "127.0.0.1:0). --port N sets the port alone (0 = ephemeral; the\n"
+         "bound port is printed on startup).\n"
          "--threads N is the per-request compute thread budget (default\n"
          "1; requests are already parallel across connections).\n";
   std::exit(exit_code);
@@ -101,8 +104,16 @@ int main(int argc, char** argv) {
       server_options.port = static_cast<std::uint16_t>(cli::parse_bounded_ulong(
           "hmdiv_serve", "--port", next(i), 0, 65535));
     } else if (arg == "--bind") {
+      // The server binds an AF_INET socket: a bracketed literal, an IPv6
+      // address or a hostname is rejected here, not at bind time.
+      const std::string value = next(i);
       cli::HostPort bind =
-          cli::parse_host_port("hmdiv_serve", "--bind", next(i));
+          cli::parse_host_port("hmdiv_serve", "--bind", value, kBindForm);
+      in_addr ipv4{};
+      if (value.front() == '[' ||
+          ::inet_pton(AF_INET, bind.host.c_str(), &ipv4) != 1) {
+        cli::reject_address("hmdiv_serve", "--bind", kBindForm, value);
+      }
       server_options.bind_address = std::move(bind.host);
       server_options.port = bind.port;
     } else if (arg == "--threads") {

@@ -51,24 +51,34 @@ struct HostPort {
   std::uint16_t port = 0;
 };
 
+/// Prints
+///   <program>: <flag> expects <form>, got '<value>'
+/// to stderr and exits 2. `form` spells the addresses the flag accepts.
+[[noreturn]] inline void reject_address(const char* program, const char* flag,
+                                        const char* form,
+                                        const std::string& value) {
+  std::cerr << program << ": " << flag << " expects " << form << ", got '"
+            << value << "'\n";
+  std::exit(2);
+}
+
 /// Parses `value` as "HOST:PORT" or "[IPV6]:PORT" (the bracketed form is
 /// required for IPv6 literals — a bare one is ambiguous with the port
 /// separator). Port 0 is accepted: it means "ephemeral" in bind contexts
 /// (callers that need a connectable port reject 0 themselves, naming the
-/// element). On any violation prints
-///   <program>: <flag> expects HOST:PORT or [IPV6]:PORT, got '<value>'
-/// to stderr and exits 2 — the same fail-fast contract as
-/// parse_bounded_ulong, shared by hmdiv_serve --bind and hmdiv_analyze
-/// --workers so the two tools can never drift on what an address is.
-/// Only --workers resolves HOST (through getaddrinfo); the daemon binds
-/// an IPv4 address only (serve::ServerOptions::bind_address).
+/// element). On any violation it calls reject_address with `form`, the
+/// spelling the caller accepts: hmdiv_analyze --workers resolves HOST
+/// through getaddrinfo and passes "HOST:PORT or [IPV6]:PORT", while
+/// hmdiv_serve --bind, which binds an IPv4 address only
+/// (serve::ServerOptions::bind_address), passes "IPV4:PORT" and checks
+/// the host itself. The same fail-fast contract as parse_bounded_ulong,
+/// so the two tools can never drift on what an address is.
 [[nodiscard]] inline HostPort parse_host_port(const char* program,
                                               const char* flag,
-                                              const std::string& value) {
+                                              const std::string& value,
+                                              const char* form) {
   const auto reject = [&]() -> HostPort {
-    std::cerr << program << ": " << flag
-              << " expects HOST:PORT or [IPV6]:PORT, got '" << value << "'\n";
-    std::exit(2);
+    reject_address(program, flag, form, value);
   };
   std::string host;
   std::string port_text;

@@ -1,5 +1,5 @@
-// NOTE ON FLOATING-POINT CONTRACTS: this translation unit is compiled with
-// -ffp-contract=off (see src/stats/CMakeLists.txt). Every Φ evaluation in
+// NOTE ON FLOATING-POINT CONTRACTS: every target is compiled with
+// -ffp-contract=off (see the top-level CMakeLists.txt). Every Φ evaluation in
 // the project funnels through this TU, so with contraction disabled each
 // arithmetic op is individually correctly rounded and the scalar
 // normal_cdf(double), the batched normal_cdf(span), and every ISA clone of

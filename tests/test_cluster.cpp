@@ -210,21 +210,22 @@ void expect_points_equal(
 
 TEST(ClusterParseHostPortTest, AcceptsPlainHostPort) {
   const cli::HostPort parsed =
-      cli::parse_host_port("test", "--workers", "example.org:8080");
+      cli::parse_host_port("test", "--workers", "example.org:8080", "");
   EXPECT_EQ(parsed.host, "example.org");
   EXPECT_EQ(parsed.port, 8080);
 }
 
 TEST(ClusterParseHostPortTest, AcceptsBracketedIpv6) {
   const cli::HostPort parsed =
-      cli::parse_host_port("test", "--workers", "[::1]:9000");
+      cli::parse_host_port("test", "--workers", "[::1]:9000", "");
   EXPECT_EQ(parsed.host, "::1");
   EXPECT_EQ(parsed.port, 9000);
 }
 
 TEST(ClusterParseHostPortTest, AcceptsPortBounds) {
-  EXPECT_EQ(cli::parse_host_port("test", "--bind", "0.0.0.0:0").port, 0);
-  EXPECT_EQ(cli::parse_host_port("test", "--bind", "h:65535").port, 65535);
+  EXPECT_EQ(cli::parse_host_port("test", "--bind", "0.0.0.0:0", "").port, 0);
+  EXPECT_EQ(cli::parse_host_port("test", "--bind", "h:65535", "").port,
+            65535);
 }
 
 // --- obs::snapshot_delta --------------------------------------------------
