@@ -6,7 +6,7 @@
 // CADT is replaced with a much better one and the reader works through
 // another 40k cases. After each phase the bench snapshots the reader's
 // reliance and the *analytic* ground-truth parameters at that reliance
-// (Rao-Blackwellised, so the drift is not masked by estimation noise); a
+// (integrated exactly, so the drift is not masked by estimation noise); a
 // windowed empirical estimate is shown alongside.
 #include <cmath>
 #include <iostream>
@@ -47,8 +47,7 @@ int main() {
     double estimated_t;         // windowed empirical estimate
   };
   auto snapshot = [&](const char* phase, double estimated_t) {
-    stats::Rng gt_rng = rng.split(0xF00D);
-    const auto truth = sim::ground_truth_model(world, gt_rng, 150000);
+    const auto truth = sim::ground_truth_model(world);
     return Snapshot{phase,
                     world.reader().reliance(),
                     truth.parameters(1).p_machine_fails,
@@ -85,10 +84,8 @@ int main() {
   sim::FeatureWorld counterfactual(
       world.generator(), world.cadt(),
       world.reader().with_reliance(before.reliance));
-  stats::Rng cf_rng(4242);
-  const auto pinned = sim::ground_truth_model(counterfactual, cf_rng, 150000);
-  stats::Rng cur_rng(4242);
-  const auto adapted = sim::ground_truth_model(world, cur_rng, 150000);
+  const auto pinned = sim::ground_truth_model(counterfactual);
+  const auto adapted = sim::ground_truth_model(world);
   report::Table isolate({"reader state", "PHf|Mf(diff)", "PHf|Ms(diff)",
                          "t(diff)"});
   isolate.caption(

@@ -6,9 +6,9 @@
 // The mechanistic world's per-class human/machine difficulty correlation is
 // swept from strongly anti-correlated (machine strong exactly where the
 // human is weak: engineered diversity) to strongly correlated (shared
-// weakness). The machine's *marginal* failure probability is nearly
-// constant across the sweep — only the alignment changes — yet the system
-// failure probability falls monotonically as diversity increases.
+// weakness). The machine's *marginal* failure probability is constant
+// across the sweep — only the alignment changes — yet the system failure
+// probability falls monotonically as diversity increases.
 #include <iostream>
 
 #include "report/format.hpp"
@@ -40,8 +40,7 @@ int main() {
     sim::FeatureWorld world(sim::CaseGenerator(specs, profile), base.cadt(),
                             base.reader());
     world.set_adaptation_enabled(false);
-    stats::Rng rng(24680);  // same difficulty stream for every rho
-    const auto truth = sim::ground_truth_model(world, rng, 200000);
+    const auto truth = sim::ground_truth_model(world);
     const double system_failure = truth.system_failure_probability(profile);
     const double machine_failure =
         truth.machine_failure_probability(profile);
@@ -69,8 +68,8 @@ int main() {
   for (std::size_t i = 1; i < failures.size(); ++i) {
     monotone = monotone && failures[i] > failures[i - 1];
   }
-  // The machine's marginal failure probability is essentially flat: the
-  // sweep changes alignment, not competence.
+  // The machine's marginal failure probability is flat: the sweep changes
+  // alignment, not competence.
   double machine_min = machine_failures.front(), machine_max = machine_min;
   for (const double m : machine_failures) {
     machine_min = std::min(machine_min, m);

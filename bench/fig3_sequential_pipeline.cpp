@@ -3,9 +3,10 @@
 //
 // The mechanistic FeatureWorld implements exactly that information flow.
 // Ground-truth class-conditional parameters {PMf, PHf|Mf, PHf|Ms} are
-// extracted by Rao-Blackwellised integration; Eq. (7)/(8) evaluated on them
-// must predict the end-to-end simulated failure rate of the pipeline —
-// under the trial profile AND re-weighted to the field profile.
+// integrated exactly over the difficulty distributions; Eq. (7)/(8)
+// evaluated on them must predict the end-to-end simulated failure rate of
+// the pipeline — under the trial profile AND re-weighted to the field
+// profile.
 #include <cmath>
 #include <iostream>
 
@@ -22,8 +23,7 @@ int main() {
 
   auto world = sim::reference_feature_world();
   world.set_adaptation_enabled(false);
-  stats::Rng truth_rng(61);
-  const auto truth = sim::ground_truth_model(world, truth_rng, 400000);
+  const auto truth = sim::ground_truth_model(world);
 
   std::cout << "== F3s: emergent parameters of the mechanistic pipeline ==\n";
   report::Table params({"class", "PMf", "PHf|Mf", "PHf|Ms", "t(x)"});

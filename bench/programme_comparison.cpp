@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   // parameters of the mechanistic world.
   auto frozen = sim::reference_feature_world();
   frozen.set_adaptation_enabled(false);
-  stats::Rng truth_rng(778);
-  const auto truth = sim::ground_truth_model(frozen, truth_rng, 200000);
+  const auto truth = sim::ground_truth_model(frozen);
   std::vector<double> p_mf(2);
   std::vector<core::ReaderConditional> reader(2);
   for (std::size_t x = 0; x < 2; ++x) {
@@ -77,9 +76,7 @@ int main(int argc, char** argv) {
   // included — stricter than the conditional-independence closed form.
   sim::TwoReaderWorld pair_world(frozen.generator(), frozen.cadt(),
                                  frozen.reader(), frozen.reader());
-  stats::Rng joint_rng(779);
-  const double joint =
-      pair_world.exact_system_failure(trial_mix, joint_rng, 200000);
+  const double joint = pair_world.exact_system_failure(trial_mix);
   report::Table closed({"quantity", "P(false negative)"});
   closed.caption("Closed-form two-readers-with-CADT (cancer cases)");
   closed.row({"single reader + CADT", fixed(single, 4)});

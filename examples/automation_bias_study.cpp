@@ -9,13 +9,14 @@
 // cases get skipped), so t(x) — how much the machine's failures hurt —
 // grows with reliance. Then we find the reliance level beyond which the
 // CADT stops paying for itself against an unaided vigilant reader.
+#include <array>
 #include <iostream>
 
 #include "report/format.hpp"
 #include "report/table.hpp"
+#include "sim/difficulty_quadrature.hpp"
 #include "sim/feature_world.hpp"
 #include "sim/ground_truth.hpp"
-#include "stats/summary.hpp"
 
 int main() {
   using namespace hmdiv;
@@ -25,20 +26,19 @@ int main() {
   const core::DemandProfile field({"easy", "difficult"}, {0.9, 0.1});
 
   // Unaided baseline: a vigilant reader with no CADT in the loop behaves
-  // like "never prompted, zero reliance".
-  auto unaided_reader = base.reader().with_reliance(0.0);
-  stats::Rng baseline_rng(1);
+  // like "never prompted, zero reliance". Its failure probability on the
+  // field mix is the profile-weighted sum of per-class expectations.
+  const auto unaided_reader = base.reader().with_reliance(0.0);
   double unaided_failure = 0.0;
-  {
-    auto generator = base.generator().with_profile(field);
-    stats::KahanAccumulator acc;
-    constexpr std::size_t kSamples = 200000;
-    for (std::size_t i = 0; i < kSamples; ++i) {
-      const auto demand = generator.generate(baseline_rng);
-      acc.add(unaided_reader.failure_probability(demand.human_difficulty,
-                                                 /*prompted=*/false));
-    }
-    unaided_failure = acc.total() / kSamples;
+  for (std::size_t x = 0; x < field.class_count(); ++x) {
+    const auto [failure] = sim::expect_over_difficulties(
+        base.generator().spec(x), unaided_reader.misclassification_kinks(),
+        unaided_reader.config().detection_slope,
+        [&](double human_difficulty, double /*machine_difficulty*/) {
+          return std::array{unaided_reader.failure_probability(
+              human_difficulty, /*prompted=*/false)};
+        });
+    unaided_failure += field[x] * failure;
   }
   std::cout << "Unaided vigilant reader, field mix: P(miss cancer) = "
             << fixed(unaided_failure, 3) << "\n\n";
@@ -57,8 +57,7 @@ int main() {
        {0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8}) {
     sim::FeatureWorld world(base.generator().with_profile(field), study_cadt,
                             base.reader().with_reliance(reliance));
-    stats::Rng rng(42);  // same difficulty sample for every reliance level
-    const auto truth = sim::ground_truth_model(world, rng, 120000);
+    const auto truth = sim::ground_truth_model(world);
     const double system_failure = truth.system_failure_probability(field);
     sweep.row({fixed(reliance, 1),
                fixed(truth.parameters(1).p_machine_fails, 3),

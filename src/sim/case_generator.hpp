@@ -39,8 +39,8 @@ class CaseGenerator {
   [[nodiscard]] const core::DemandProfile& profile() const { return profile_; }
   [[nodiscard]] const CaseClassSpec& spec(std::size_t x) const;
 
-  /// Draws the difficulties for a given class (used by ground-truth
-  /// integration as well as by generate()).
+  /// Draws the difficulties for a given class (used by generate() and by
+  /// the procedure-1 world's case simulation).
   [[nodiscard]] std::pair<double, double> sample_difficulties(
       std::size_t class_index, stats::Rng& rng) const;
 

@@ -7,9 +7,8 @@
 // each class, the human/machine difficulty correlation is explicit, and the
 // reader's reliance can adapt over the course of a run. Ground-truth
 // class-conditional parameters {PMf(x), PHf|Mf(x), PHf|Ms(x)} are not
-// inputs but emergent; ground_truth.hpp computes them by Rao-Blackwellised
-// integration so the core model's predictions can be checked against
-// end-to-end simulation.
+// inputs but emergent; ground_truth.hpp integrates them exactly so the
+// core model's predictions can be checked against end-to-end simulation.
 #pragma once
 
 #include <optional>

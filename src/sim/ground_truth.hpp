@@ -2,13 +2,13 @@
 //
 // FeatureWorld's class-conditional parameters {PMf(x), PHf|Mf(x),
 // PHf|Ms(x)} are emergent from continuous difficulty distributions. This
-// module computes them by Rao-Blackwellised Monte-Carlo integration:
-// difficulties are sampled, but machine and reader outcomes enter through
-// their *analytic* conditional probabilities, so the estimates converge
-// O(1/sqrt(N)) with a small constant and no Bernoulli noise. The result is
-// a core::SequentialModel whose Eq. (8) predictions can be checked against
-// end-to-end simulated failure rates — the repository's strongest
-// integration test.
+// module computes them exactly: machine and reader outcomes enter through
+// their *analytic* conditional probabilities, and the two difficulty
+// dimensions are integrated by expect_over_difficulties's deterministic
+// quadrature, so the parameters carry neither Bernoulli nor sampling
+// noise. The result is a core::SequentialModel whose Eq. (8) predictions
+// can be checked against end-to-end simulated failure rates — the
+// repository's strongest integration test.
 //
 // Note: the reader is taken at its *current* reliance state (adaptation is
 // not advanced). For adapting readers, ground truth is a snapshot.
@@ -16,14 +16,11 @@
 
 #include "core/sequential_model.hpp"
 #include "sim/feature_world.hpp"
-#include "stats/rng.hpp"
 
 namespace hmdiv::sim {
 
-/// Computes the emergent sequential-model parameters of `world`, using
-/// `samples_per_class` difficulty draws per class.
+/// Computes the emergent sequential-model parameters of `world`.
 [[nodiscard]] core::SequentialModel ground_truth_model(
-    const FeatureWorld& world, stats::Rng& rng,
-    std::size_t samples_per_class = 200000);
+    const FeatureWorld& world);
 
 }  // namespace hmdiv::sim

@@ -1,9 +1,11 @@
 #include "sim/parallel_world.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
-#include "stats/summary.hpp"
+#include "sim/difficulty_quadrature.hpp"
 
 namespace hmdiv::sim {
 
@@ -134,63 +136,59 @@ std::vector<ParallelProcedureRecord> ParallelProcedureWorld::run(
   return out;
 }
 
-core::ParallelDetectionModel ParallelProcedureWorld::ground_truth(
-    stats::Rng& rng, std::size_t samples_per_class) const {
-  if (samples_per_class == 0) {
-    throw std::invalid_argument(
-        "ParallelProcedureWorld: samples_per_class == 0");
-  }
+CaseClassSpec ParallelProcedureWorld::scaled_spec(
+    std::size_t class_index) const {
+  CaseClassSpec spec = generator_.spec(class_index);
+  spec.human_difficulty_sigma *= within_class_scale_;
+  spec.machine_difficulty_sigma *= within_class_scale_;
+  return spec;
+}
+
+core::ParallelDetectionModel ParallelProcedureWorld::ground_truth() const {
+  const std::vector<double> kinks = reader_.misclassification_kinks();
+  const double slope = std::max(cadt_.config().sensitivity_slope,
+                                reader_.config().detection_slope);
   std::vector<core::ParallelClassConditional> params;
   params.reserve(class_count());
   for (std::size_t x = 0; x < class_count(); ++x) {
-    stats::KahanAccumulator machine_miss, human_miss;
-    stats::KahanAccumulator detected_mass, misclass_mass;
-    for (std::size_t i = 0; i < samples_per_class; ++i) {
-      const auto [human, machine] = sample_scaled_difficulties(x, rng);
-      const double p_unaided = reader_.unaided_detection_probability(human);
-      const double p_prompt = cadt_.prompt_probability(machine);
-      machine_miss.add(1.0 - p_prompt);
-      human_miss.add(1.0 - p_unaided);
-      const double p_detected =
-          p_unaided + (1.0 - p_unaided) * p_prompt * prompt_attention_;
-      detected_mass.add(p_detected);
-      misclass_mass.add(p_detected *
-                        reader_.misclassification_probability(human));
-    }
+    const auto [machine_miss, human_miss, detected_mass, misclass_mass] =
+        expect_over_difficulties(
+            scaled_spec(x), kinks, slope, [&](double human, double machine) {
+          const double p_unaided = reader_.unaided_detection_probability(human);
+          const double p_prompt = cadt_.prompt_probability(machine);
+          const double p_detected =
+              p_unaided + (1.0 - p_unaided) * p_prompt * prompt_attention_;
+          return std::array{
+              1.0 - p_prompt, 1.0 - p_unaided, p_detected,
+              p_detected * reader_.misclassification_probability(human)};
+        });
     core::ParallelClassConditional c;
-    const double n = static_cast<double>(samples_per_class);
-    c.p_machine_misses = machine_miss.total() / n;
-    c.p_human_misses = human_miss.total() / n;
-    c.p_human_misclassifies = detected_mass.total() > 0.0
-                                  ? misclass_mass.total() /
-                                        detected_mass.total()
-                                  : 0.0;
+    c.p_machine_misses = machine_miss;
+    c.p_human_misses = human_miss;
+    c.p_human_misclassifies =
+        detected_mass > 0.0 ? misclass_mass / detected_mass : 0.0;
     params.push_back(c);
   }
   return core::ParallelDetectionModel(class_names(), std::move(params));
 }
 
-double ParallelProcedureWorld::exact_system_failure(
-    stats::Rng& rng, std::size_t samples_per_class) const {
-  if (samples_per_class == 0) {
-    throw std::invalid_argument(
-        "ParallelProcedureWorld: samples_per_class == 0");
-  }
+double ParallelProcedureWorld::exact_system_failure() const {
+  const std::vector<double> kinks = reader_.misclassification_kinks();
+  const double slope = std::max(cadt_.config().sensitivity_slope,
+                                reader_.config().detection_slope);
   double total = 0.0;
   for (std::size_t x = 0; x < class_count(); ++x) {
-    stats::KahanAccumulator failure;
-    for (std::size_t i = 0; i < samples_per_class; ++i) {
-      const auto [human, machine] = sample_scaled_difficulties(x, rng);
-      const double p_unaided = reader_.unaided_detection_probability(human);
-      const double p_prompt = cadt_.prompt_probability(machine);
-      const double p_detected =
-          p_unaided + (1.0 - p_unaided) * p_prompt * prompt_attention_;
-      const double p_misclass =
-          reader_.misclassification_probability(human);
-      failure.add((1.0 - p_detected) + p_detected * p_misclass);
-    }
-    total += generator_.profile()[x] * failure.total() /
-             static_cast<double>(samples_per_class);
+    const auto [failure] = expect_over_difficulties(
+        scaled_spec(x), kinks, slope, [&](double human, double machine) {
+          const double p_unaided = reader_.unaided_detection_probability(human);
+          const double p_prompt = cadt_.prompt_probability(machine);
+          const double p_detected =
+              p_unaided + (1.0 - p_unaided) * p_prompt * prompt_attention_;
+          const double p_misclass =
+              reader_.misclassification_probability(human);
+          return std::array{(1.0 - p_detected) + p_detected * p_misclass};
+        });
+    total += generator_.profile()[x] * failure;
   }
   return total;
 }

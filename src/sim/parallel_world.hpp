@@ -80,23 +80,24 @@ class ParallelProcedureWorld {
   [[nodiscard]] std::vector<ParallelProcedureRecord> run(std::uint64_t cases,
                                                          stats::Rng& rng);
 
-  /// The class-granular parallel model of this world, by Rao-Blackwellised
-  /// integration. With within_class_scale = 0 and prompt_attention = 1 it
-  /// is exact; otherwise it is what an infinitely large instrumented trial
-  /// would estimate.
-  [[nodiscard]] core::ParallelDetectionModel ground_truth(
-      stats::Rng& rng, std::size_t samples_per_class = 200000) const;
+  /// The class-granular parallel model of this world: what an infinitely
+  /// large instrumented trial would estimate, integrated exactly over the
+  /// shrink-scaled difficulty distributions (expect_over_difficulties).
+  /// With within_class_scale = 0 and prompt_attention = 1 its Eq. (1)
+  /// prediction equals exact_system_failure().
+  [[nodiscard]] core::ParallelDetectionModel ground_truth() const;
 
   /// Exact system false-negative probability under the generator's
   /// profile, by joint integration (no class-granularity or procedure
   /// idealisation).
-  [[nodiscard]] double exact_system_failure(stats::Rng& rng,
-                                            std::size_t samples_per_class =
-                                                200000) const;
+  [[nodiscard]] double exact_system_failure() const;
 
  private:
   [[nodiscard]] std::pair<double, double> sample_scaled_difficulties(
       std::size_t class_index, stats::Rng& rng) const;
+  /// Class `class_index`'s spec with both sigmas multiplied by
+  /// within_class_scale.
+  [[nodiscard]] CaseClassSpec scaled_spec(std::size_t class_index) const;
 
   CaseGenerator generator_;
   CadtModel cadt_;

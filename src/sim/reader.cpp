@@ -68,6 +68,14 @@ double ReaderModel::misclassification_probability(
                     0.0, config_.misclassification_max);
 }
 
+std::vector<double> ReaderModel::misclassification_kinks() const {
+  const double slope = config_.misclassification_slope;
+  if (slope == 0.0) return {};
+  return {-config_.misclassification_base / slope,
+          (config_.misclassification_max - config_.misclassification_base) /
+              slope};
+}
+
 double ReaderModel::failure_probability(double human_difficulty,
                                         bool prompted) const {
   const double p_detect = detection_probability(human_difficulty, prompted);

@@ -21,6 +21,8 @@
 // design changes.
 #pragma once
 
+#include <vector>
+
 #include "sim/case.hpp"
 #include "stats/rng.hpp"
 
@@ -88,6 +90,12 @@ class ReaderModel {
   /// P(misclassify | detected, difficulty) — analytic.
   [[nodiscard]] double misclassification_probability(
       double human_difficulty) const;
+
+  /// The difficulties where misclassification_probability's clamp bends,
+  /// −base/slope and (max − base)/slope; none when the slope is 0. They
+  /// are the only points where a reader probability is not smooth, so
+  /// exact integrals over difficulty split there.
+  [[nodiscard]] std::vector<double> misclassification_kinks() const;
 
   /// P(reader fails, i.e. no recall of a cancer | difficulty, prompted?).
   [[nodiscard]] double failure_probability(double human_difficulty,

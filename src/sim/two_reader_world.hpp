@@ -50,25 +50,30 @@ class TwoReaderWorld {
                                                  stats::Rng& rng);
 
   /// The conditional-independence model of this world (readers independent
-  /// given class + machine outcome), by Rao-Blackwellised integration over
-  /// the difficulty distributions (readers taken at their current reliance
-  /// states). NOTE: this is the model an analyst following the paper's
-  /// formalism would write down — and it *underestimates* the pair's joint
-  /// failure probability, because within a class both readers also share
-  /// the same residual case difficulty. Compare with
+  /// given class + machine outcome), integrated exactly over the difficulty
+  /// distributions (expect_over_difficulties; readers taken at their
+  /// current reliance states). NOTE: this is the model an analyst following
+  /// the paper's formalism would write down — and it *underestimates* the
+  /// pair's joint failure probability, because within a class both readers
+  /// also share the same residual case difficulty. Compare with
   /// exact_system_failure(); the gap is the within-class analogue of the
   /// paper's Eq. (3) covariance.
-  [[nodiscard]] core::TwoReadersWithCadtModel ground_truth(
-      stats::Rng& rng, std::size_t samples_per_class = 200000) const;
+  [[nodiscard]] core::TwoReadersWithCadtModel ground_truth() const;
 
   /// The exact system (both readers fail) probability under `profile`, by
   /// integrating the *joint* conditional failure over the shared latent
   /// difficulty: E_h[ pPrompt·pA(h,t)·pB(h,t) + (1−pPrompt)·pA(h,f)·pB(h,f) ].
+  /// Throws std::invalid_argument if `profile`'s classes are not this
+  /// world's.
   [[nodiscard]] double exact_system_failure(
-      const core::DemandProfile& profile, stats::Rng& rng,
-      std::size_t samples_per_class = 200000) const;
+      const core::DemandProfile& profile) const;
 
  private:
+  /// Both readers' misclassification kinks.
+  [[nodiscard]] std::vector<double> human_kinks() const;
+  /// The steepest logistic slope of the CADT and both readers.
+  [[nodiscard]] double steepest_slope() const;
+
   CaseGenerator generator_;
   CadtModel cadt_;
   ReaderModel reader_a_;

@@ -22,8 +22,7 @@ TEST(FeatureWorld, ClassMetadataComesFromGenerator) {
 TEST(FeatureWorld, GroundTruthParametersAreOrdered) {
   auto world = reference_feature_world();
   world.set_adaptation_enabled(false);
-  stats::Rng rng(21);
-  const auto truth = ground_truth_model(world, rng, 100000);
+  const auto truth = ground_truth_model(world);
   // The difficult class must be harder for both machine and human.
   EXPECT_GT(truth.parameters(1).p_machine_fails,
             truth.parameters(0).p_machine_fails);
@@ -46,8 +45,7 @@ TEST(FeatureWorld, Equation8PredictsEndToEndSimulation) {
   // rate of the full mechanistic pipeline.
   auto world = reference_feature_world();
   world.set_adaptation_enabled(false);
-  stats::Rng truth_rng(22);
-  const auto truth = ground_truth_model(world, truth_rng, 300000);
+  const auto truth = ground_truth_model(world);
   const double predicted =
       truth.system_failure_probability(world.generator().profile());
 
@@ -63,8 +61,7 @@ TEST(FeatureWorld, Equation8PredictsEndToEndSimulation) {
 TEST(FeatureWorld, EstimatedParametersMatchGroundTruth) {
   auto world = reference_feature_world();
   world.set_adaptation_enabled(false);
-  stats::Rng truth_rng(24);
-  const auto truth = ground_truth_model(world, truth_rng, 300000);
+  const auto truth = ground_truth_model(world);
 
   TrialRunner runner(world, 150000);
   stats::Rng sim_rng(25);
@@ -84,8 +81,7 @@ TEST(FeatureWorld, TrialProfileReweightingHolds) {
   // simulated under another — Section 5's extrapolation, mechanistically.
   auto trial_world = reference_feature_world();
   trial_world.set_adaptation_enabled(false);
-  stats::Rng truth_rng(26);
-  const auto truth = ground_truth_model(trial_world, truth_rng, 300000);
+  const auto truth = ground_truth_model(trial_world);
 
   const core::DemandProfile field({"easy", "difficult"}, {0.9, 0.1});
   auto field_world = reference_feature_world(field);
@@ -100,10 +96,9 @@ TEST(FeatureWorld, TrialProfileReweightingHolds) {
 TEST(FeatureWorld, ImprovingTheCadtReducesSystemFailure) {
   auto world = reference_feature_world();
   world.set_adaptation_enabled(false);
-  stats::Rng rng(28);
-  const auto before = ground_truth_model(world, rng, 100000);
+  const auto before = ground_truth_model(world);
   world.replace_cadt(world.cadt().with_capability_factor(1.5));
-  const auto after = ground_truth_model(world, rng, 100000);
+  const auto after = ground_truth_model(world);
   EXPECT_LT(after.machine_failure_probability(world.generator().profile()),
             before.machine_failure_probability(world.generator().profile()));
   EXPECT_LT(after.system_failure_probability(world.generator().profile()),

@@ -8,7 +8,6 @@
 #include "core/parallel_model.hpp"
 #include "rbd/conditional.hpp"
 #include "sim/estimation.hpp"
-#include "sim/ground_truth.hpp"
 #include "sim/tabular_world.hpp"
 #include "sim/trial.hpp"
 

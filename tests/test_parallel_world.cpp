@@ -76,11 +76,9 @@ TEST(ParallelWorld, UnaidedDetectionIsPromptBlind) {
 
 TEST(ParallelWorld, IdealRegimeMakesEq1Exact) {
   auto world = make_world(1.0, 0.0);
-  stats::Rng gt_rng(3);
-  const auto truth = world.ground_truth(gt_rng, 200000);
-  stats::Rng ex_rng(3);
-  const double exact = world.exact_system_failure(ex_rng, 200000);
-  EXPECT_NEAR(truth.system_failure_probability(profile()), exact, 1e-3);
+  const auto truth = world.ground_truth();
+  const double exact = world.exact_system_failure();
+  EXPECT_NEAR(truth.system_failure_probability(profile()), exact, 1e-12);
 
   stats::Rng sim_rng(4);
   const auto estimate = estimate_parallel_model(world.run(200000, sim_rng),
@@ -91,26 +89,21 @@ TEST(ParallelWorld, IdealRegimeMakesEq1Exact) {
 
 TEST(ParallelWorld, InattentionMakesEq1Optimistic) {
   auto world = make_world(0.6, 0.0);
-  stats::Rng gt_rng(5);
-  const auto truth = world.ground_truth(gt_rng, 200000);
-  stats::Rng ex_rng(5);
-  const double exact = world.exact_system_failure(ex_rng, 200000);
+  const auto truth = world.ground_truth();
+  const double exact = world.exact_system_failure();
   EXPECT_LT(truth.system_failure_probability(profile()), exact - 0.01);
 }
 
 TEST(ParallelWorld, HeterogeneityMakesEq1Optimistic) {
   auto world = make_world(1.0, 1.0);
-  stats::Rng gt_rng(6);
-  const auto truth = world.ground_truth(gt_rng, 300000);
-  stats::Rng ex_rng(6);
-  const double exact = world.exact_system_failure(ex_rng, 300000);
+  const auto truth = world.ground_truth();
+  const double exact = world.exact_system_failure();
   EXPECT_LT(truth.system_failure_probability(profile()), exact - 0.002);
 }
 
 TEST(ParallelWorld, EstimatesConvergeToGroundTruth) {
   auto world = make_world(1.0, 1.0);
-  stats::Rng gt_rng(7);
-  const auto truth = world.ground_truth(gt_rng, 300000);
+  const auto truth = world.ground_truth();
   stats::Rng sim_rng(8);
   const auto estimate = estimate_parallel_model(world.run(200000, sim_rng),
                                                 profile().class_names());

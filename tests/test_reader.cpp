@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace hmdiv::sim {
 namespace {
@@ -93,6 +94,19 @@ TEST(Reader, MisclassificationClampsAtConfiguredMax) {
   EXPECT_NEAR(reader.misclassification_probability(1.0), 0.13, 1e-12);
   EXPECT_NEAR(reader.misclassification_probability(100.0), 0.6, 1e-12);
   EXPECT_NEAR(reader.misclassification_probability(-100.0), 0.0, 1e-12);
+}
+
+TEST(Reader, MisclassificationKinksAreWhereTheClampBends) {
+  const ReaderModel reader(reference_config());
+  const std::vector<double> kinks = reader.misclassification_kinks();
+  ASSERT_EQ(kinks.size(), 2u);
+  EXPECT_DOUBLE_EQ(kinks[0], -0.05 / 0.08);
+  EXPECT_DOUBLE_EQ(kinks[1], (0.6 - 0.05) / 0.08);
+  EXPECT_NEAR(reader.misclassification_probability(kinks[0]), 0.0, 1e-15);
+  EXPECT_NEAR(reader.misclassification_probability(kinks[1]), 0.6, 1e-15);
+  auto flat = reference_config();
+  flat.misclassification_slope = 0.0;
+  EXPECT_TRUE(ReaderModel(flat).misclassification_kinks().empty());
 }
 
 TEST(Reader, FailureComposesDetectionAndClassification) {

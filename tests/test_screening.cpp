@@ -192,7 +192,7 @@ TEST(Programme, ProfiledRunsRecordTheirSpans) {
   stats::Rng rng(42);
   (void)run_programme(PopulationGenerator::reference(0.01), policy, 100,
                       CostModel{}, rng);
-  (void)sim::ground_truth_model(world, rng, 100);
+  (void)sim::ground_truth_model(world);
   obs::set_enabled(was_enabled);
   EXPECT_EQ(programme.count(), programme_before + 1);
   EXPECT_EQ(truth.count(), truth_before + 1);

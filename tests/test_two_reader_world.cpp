@@ -34,8 +34,7 @@ TEST(TwoReaderWorld, RecordsAreWellFormed) {
 TEST(TwoReaderWorld, ExactJointPredictsSimulatedSystemFailure) {
   auto world = reference_pair();
   const core::DemandProfile profile({"easy", "difficult"}, {0.8, 0.2});
-  stats::Rng truth_rng(92);
-  const double exact = world.exact_system_failure(profile, truth_rng, 300000);
+  const double exact = world.exact_system_failure(profile);
 
   stats::Rng sim_rng(93);
   const auto records = world.run(250000, sim_rng);
@@ -52,10 +51,8 @@ TEST(TwoReaderWorld, ConditionalIndependenceModelUnderestimates) {
   // repository's demonstration that class granularity matters (footnote 1).
   auto world = reference_pair();
   const core::DemandProfile profile({"easy", "difficult"}, {0.8, 0.2});
-  stats::Rng rng_a(92);
-  const auto conditional_independence = world.ground_truth(rng_a, 300000);
-  stats::Rng rng_b(92);
-  const double exact = world.exact_system_failure(profile, rng_b, 300000);
+  const auto conditional_independence = world.ground_truth();
+  const double exact = world.exact_system_failure(profile);
   const double modelled =
       conditional_independence.system_failure_probability(profile);
   EXPECT_LT(modelled, exact);
@@ -65,8 +62,7 @@ TEST(TwoReaderWorld, ConditionalIndependenceModelUnderestimates) {
 
 TEST(TwoReaderWorld, EstimationRecoversGroundTruth) {
   auto world = reference_pair();
-  stats::Rng truth_rng(94);
-  const auto truth = world.ground_truth(truth_rng, 200000);
+  const auto truth = world.ground_truth();
   stats::Rng sim_rng(95);
   const auto records = world.run(200000, sim_rng);
   const auto estimate =
@@ -89,8 +85,7 @@ TEST(TwoReaderWorld, SharedMachineCorrelatesReaders) {
   // underestimates the pair's failure rate, because both readers see the
   // same machine outcome (and the same case difficulty).
   auto world = reference_pair();
-  stats::Rng rng(96);
-  const auto truth = world.ground_truth(rng, 200000);
+  const auto truth = world.ground_truth();
   const core::DemandProfile profile({"easy", "difficult"}, {0.8, 0.2});
   EXPECT_LT(truth.system_failure_assuming_reader_independence(profile),
             truth.system_failure_probability(profile));
@@ -98,8 +93,7 @@ TEST(TwoReaderWorld, SharedMachineCorrelatesReaders) {
 
 TEST(TwoReaderWorld, SecondReaderAlwaysHelps) {
   auto world = reference_pair();
-  stats::Rng rng(97);
-  const auto truth = world.ground_truth(rng, 100000);
+  const auto truth = world.ground_truth();
   const core::DemandProfile profile({"easy", "difficult"}, {0.8, 0.2});
   const double pair_failure = truth.system_failure_probability(profile);
   EXPECT_LT(pair_failure,
