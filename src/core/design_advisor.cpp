@@ -13,58 +13,25 @@ DesignAdvisor::DesignAdvisor(SequentialModel model, DemandProfile profile)
     throw std::invalid_argument(
         "DesignAdvisor: profile classes do not match model classes");
   }
-  const std::size_t n = model_.class_count();
-  weight_.resize(n);
-  pmf_.resize(n);
-  t_.resize(n);
-  phf_mf_.resize(n);
-  phf_ms_.resize(n);
-  for (std::size_t x = 0; x < n; ++x) {
-    const ClassConditional& c = model_.parameters(x);
-    weight_[x] = profile_[x];
-    pmf_[x] = c.p_machine_fails;
-    t_[x] = c.importance_index();
-    phf_mf_[x] = c.p_human_fails_given_machine_fails;
-    phf_ms_[x] = c.p_human_fails_given_machine_succeeds;
-  }
-  baseline_failure_ = model_.system_failure_probability(profile_);
 }
 
 ImprovementEffect DesignAdvisor::evaluate(
     const ImprovementCandidate& candidate) const {
-  const std::size_t n = model_.class_count();
-  const bool all = candidate.class_index == ImprovementCandidate::kAllClasses;
-  // Same validation (and messages) as the with_*_machine_improvement
-  // transforms this path replaces.
-  if (!all && candidate.class_index >= n) {
-    throw std::invalid_argument("SequentialModel: class index out of range");
-  }
-  if (!(candidate.factor >= 0.0)) {
-    throw std::invalid_argument(
-        all ? "SequentialModel::with_uniform_machine_improvement: factor >= 0"
-            : "SequentialModel::with_machine_improvement: factor must be >= "
-              "0");
-  }
-
+  const SequentialModel improved =
+      candidate.class_index == ImprovementCandidate::kAllClasses
+          ? model_.with_uniform_machine_improvement(candidate.factor)
+          : model_.with_machine_improvement(candidate.class_index,
+                                            candidate.factor);
   ImprovementEffect out;
   out.name = candidate.name;
-  out.baseline_failure = baseline_failure_;
-
-  // Re-sum Eq. (8) with the affected classes' PMf scaled exactly as
-  // with_machine_improvement would scale them (same clamp, same expression,
-  // same fold order), so no improved model needs to be built.
-  double improved_total = 0.0;
-  double analytic = 0.0;
-  for (std::size_t x = 0; x < n; ++x) {
-    const bool affected = all || candidate.class_index == x;
-    const double pmf =
-        affected ? std::clamp(pmf_[x] * candidate.factor, 0.0, 1.0) : pmf_[x];
-    improved_total +=
-        weight_[x] * (phf_ms_[x] * (1.0 - pmf) + phf_mf_[x] * pmf);
-    if (affected) analytic += weight_[x] * t_[x] * (pmf_[x] - pmf);
+  out.baseline_failure = model_.system_failure_probability(profile_);
+  out.improved_failure = improved.system_failure_probability(profile_);
+  for (std::size_t x = 0; x < model_.class_count(); ++x) {
+    const ClassConditional& c = model_.parameters(x);
+    out.analytic_gain +=
+        profile_[x] * c.importance_index() *
+        (c.p_machine_fails - improved.parameters(x).p_machine_fails);
   }
-  out.improved_failure = improved_total;
-  out.analytic_gain = analytic;
   return out;
 }
 
@@ -81,16 +48,9 @@ std::vector<ImprovementEffect> DesignAdvisor::rank(
 }
 
 std::size_t DesignAdvisor::best_target_class() const {
-  std::size_t best = 0;
-  double best_leverage = -1.0;
-  for (std::size_t x = 0; x < model_.class_count(); ++x) {
-    const double leverage = weight_[x] * t_[x] * pmf_[x];
-    if (leverage > best_leverage) {
-      best_leverage = leverage;
-      best = x;
-    }
-  }
-  return best;
+  const std::vector<double> leverage = diagnose().class_leverage;
+  return static_cast<std::size_t>(
+      std::max_element(leverage.begin(), leverage.end()) - leverage.begin());
 }
 
 DesignDiagnosis DesignAdvisor::diagnose() const {
@@ -103,13 +63,18 @@ DesignDiagnosis DesignAdvisor::diagnose() const {
   const FailureDecomposition d = model_.decompose(profile_);
   out.covariance = d.covariance;
 
-  out.correlation = stats::weighted_correlation(
-      pmf_, t_, profile_.distribution().probabilities());
-
-  out.class_leverage.resize(model_.class_count());
-  for (std::size_t x = 0; x < model_.class_count(); ++x) {
-    out.class_leverage[x] = weight_[x] * t_[x] * pmf_[x];
+  const std::size_t n = model_.class_count();
+  std::vector<double> pmf(n);
+  std::vector<double> t(n);
+  out.class_leverage.resize(n);
+  for (std::size_t x = 0; x < n; ++x) {
+    const ClassConditional& c = model_.parameters(x);
+    pmf[x] = c.p_machine_fails;
+    t[x] = c.importance_index();
+    out.class_leverage[x] = profile_[x] * t[x] * pmf[x];
   }
+  out.correlation = stats::weighted_correlation(
+      pmf, t, profile_.distribution().probabilities());
   return out;
 }
 

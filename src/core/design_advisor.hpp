@@ -5,8 +5,8 @@
 // reducing PMf(x) by Δ on class x is p(x)·t(x)·Δ — so the classes worth
 // targeting are those with high demand probability, high importance index
 // t(x), and headroom in PMf(x). The DesignAdvisor ranks candidate
-// improvements by exact recomputation of Eq. (8) and by the analytic gain,
-// and reports the §6.1 floor and §6.2 covariance diagnosis.
+// improvements by exact recomputation of Eq. (8) on the improved model, and
+// reports the §6.1 floor and §6.2 covariance diagnosis.
 #pragma once
 
 #include <cstddef>
@@ -68,15 +68,16 @@ struct DesignDiagnosis {
 
 class DesignAdvisor {
  public:
-  /// Memoises the per-class terms of Eq. (8) — weight, PMf, t(x) and the two
-  /// human conditionals — into flat tables, so evaluate()/rank() re-sum the
-  /// perturbed equation directly instead of copying the model per candidate.
+  /// Throws std::invalid_argument if the profile's classes do not match
+  /// the model's.
   DesignAdvisor(SequentialModel model, DemandProfile profile);
 
   [[nodiscard]] const SequentialModel& model() const { return model_; }
   [[nodiscard]] const DemandProfile& profile() const { return profile_; }
 
-  /// Evaluates one candidate under this advisor's profile.
+  /// Evaluates one candidate under this advisor's profile: Eq. (8) on
+  /// model().with_machine_improvement (or the uniform transform), which
+  /// also validates the candidate.
   [[nodiscard]] ImprovementEffect evaluate(
       const ImprovementCandidate& candidate) const;
 
@@ -94,16 +95,6 @@ class DesignAdvisor {
  private:
   SequentialModel model_;
   DemandProfile profile_;
-  /// Memoised class-conditional tables (SoA), filled once in the
-  /// constructor. evaluate() walks these with the same expression shapes as
-  /// SequentialModel::system_failure_probability, so the copy-free path is
-  /// bit-identical to evaluating a transformed model.
-  std::vector<double> weight_;   ///< p(x)
-  std::vector<double> pmf_;      ///< PMf(x)
-  std::vector<double> t_;        ///< importance index t(x)
-  std::vector<double> phf_mf_;   ///< PHf|Mf(x)
-  std::vector<double> phf_ms_;   ///< PHf|Ms(x)
-  double baseline_failure_ = 0.0;
 };
 
 }  // namespace hmdiv::core

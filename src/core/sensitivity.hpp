@@ -37,21 +37,11 @@ struct ClassSensitivity {
     const SequentialModel& model, const DemandProfile& profile);
 
 /// Central finite-difference check of ∂PHf/∂PMf(x); used by tests and by
-/// sceptical users. `h` is the step in probability units. Evaluates the
-/// perturbed Eq. (8) sums directly (no model copies, no allocation) with
-/// the same arithmetic the previous model-copy formulation performed.
+/// sceptical users. `h` is the step in probability units; PMf(x) must be
+/// interior to (0,1). Evaluates Eq. (8) on the two models
+/// with_machine_improvement(x, (PMf ± step)/PMf).
 [[nodiscard]] double finite_difference_machine_failure(
     const SequentialModel& model, const DemandProfile& profile, std::size_t x,
-    double h = 1e-6);
-
-/// Full finite-difference grid: ∂PHf/∂PMf(x) for every class in one call.
-/// The model parameters are staged once into flat SoA scratch from the
-/// calling thread's exec workspace, so the 2·n perturbed evaluations run
-/// over contiguous arrays and the call allocates nothing beyond its result
-/// after workspace warm-up. Every class must have PMf interior to (0,1),
-/// as in the single-class form.
-[[nodiscard]] std::vector<double> finite_difference_machine_failure_gradient(
-    const SequentialModel& model, const DemandProfile& profile,
     double h = 1e-6);
 
 }  // namespace hmdiv::core

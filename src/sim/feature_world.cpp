@@ -65,9 +65,9 @@ CaseRecord FeatureWorld::simulate_case(stats::Rng& rng) {
 }
 
 void FeatureWorld::simulate_batch(std::span<CaseRecord> out,
-                                  stats::Rng& rng) {
-  // Qualified call: no per-case virtual dispatch, same stream as scalar.
-  for (CaseRecord& record : out) record = FeatureWorld::simulate_case(rng);
+                                  stats::Rng& rng) const {
+  FeatureWorld local = *this;
+  for (CaseRecord& record : out) record = local.simulate_case(rng);
 }
 
 FeatureWorld reference_feature_world(

@@ -26,26 +26,15 @@ class FeatureWorld final : public World {
   FeatureWorld(CaseGenerator generator, CadtModel cadt, ReaderModel reader);
 
   [[nodiscard]] CaseRecord simulate_case(stats::Rng& rng) override;
-  /// Devirtualised tight loop over the scalar kernel. Draw order per case
-  /// is identical to simulate_case (this world is bound by logistic/exp
-  /// evaluations and mechanistic sampling, not dispatch), so scalar and
-  /// batched paths share one stream.
-  void simulate_batch(std::span<CaseRecord> out, stats::Rng& rng) override;
+  /// The scalar loop on a local copy of this world, so the batch starts
+  /// from this world's state (reader adaptation included) and leaves it
+  /// unchanged. Draw order per case is identical to simulate_case (this
+  /// world is bound by logistic/exp evaluations and mechanistic sampling,
+  /// not dispatch), so scalar and batched paths share one stream.
+  void simulate_batch(std::span<CaseRecord> out,
+                      stats::Rng& rng) const override;
   [[nodiscard]] std::size_t class_count() const override;
   [[nodiscard]] const std::vector<std::string>& class_names() const override;
-  /// Copies the full current state, including the reader's adaptation
-  /// level: in a parallel trial every batch restarts adaptation from this
-  /// world's state (freeze it with set_adaptation_enabled(false) for
-  /// controlled measurements).
-  [[nodiscard]] std::unique_ptr<World> clone() const override {
-    return std::make_unique<FeatureWorld>(*this);
-  }
-  /// Stateless (clone-reusable) iff the reader cannot adapt: adaptation
-  /// frozen, or a zero adaptation rate (observe() is then a no-op). Case
-  /// ids advance per simulated case but never reach a CaseRecord.
-  [[nodiscard]] bool stateless() const override {
-    return !adaptation_enabled_ || reader_.config().adaptation_rate <= 0.0;
-  }
 
   [[nodiscard]] const CaseGenerator& generator() const { return generator_; }
   [[nodiscard]] const CadtModel& cadt() const { return cadt_; }

@@ -61,7 +61,7 @@ CaseRecord TabularWorld::simulate_case(stats::Rng& rng) {
 }
 
 void TabularWorld::simulate_batch(std::span<CaseRecord> out,
-                                  stats::Rng& rng) {
+                                  stats::Rng& rng) const {
   // One uniform per case, bulk-filled per fixed-size tile so the scratch
   // buffer (8 KiB) stays L1-resident. The tile size is a constant — never
   // derived from the batch or thread count — so the draw layout (and

@@ -35,7 +35,8 @@ class TabularWorld final : public World {
   /// uniforms), so the streams differ; this kernel is the canonical
   /// stream for batched trials, equivalent in distribution (the joint
   /// factorisation is exact).
-  void simulate_batch(std::span<CaseRecord> out, stats::Rng& rng) override;
+  void simulate_batch(std::span<CaseRecord> out,
+                      stats::Rng& rng) const override;
   [[nodiscard]] std::size_t class_count() const override;
   [[nodiscard]] const std::vector<std::string>& class_names() const override;
 
@@ -48,12 +49,6 @@ class TabularWorld final : public World {
   /// depends on the records only through this table.
   [[nodiscard]] std::vector<core::ClassCounts> simulate_counts(
       std::uint64_t case_count, stats::Rng& rng) const;
-  [[nodiscard]] std::unique_ptr<World> clone() const override {
-    return std::make_unique<TabularWorld>(*this);
-  }
-  /// Model and profile are immutable: simulation leaves no state behind,
-  /// so trial runs may reuse one clone across batches.
-  [[nodiscard]] bool stateless() const override { return true; }
 
   [[nodiscard]] const core::SequentialModel& model() const { return model_; }
   [[nodiscard]] const core::DemandProfile& profile() const { return profile_; }

@@ -1,55 +1,12 @@
 #include "sim/trial.hpp"
 
 #include <algorithm>
-#include <mutex>
 #include <stdexcept>
-#include <utility>
 
 #include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::sim {
-
-namespace {
-
-/// A per-run pool of world clones for stateless worlds: a batch borrows a
-/// clone, simulates on it, and returns it, so a run allocates at most one
-/// clone per *concurrent* batch instead of one per batch. Safe only when
-/// World::stateless() holds (a reused clone behaves like a fresh one).
-class ClonePool {
- public:
-  explicit ClonePool(const World& prototype) : prototype_(prototype) {}
-
-  [[nodiscard]] std::unique_ptr<World> acquire() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (!idle_.empty()) {
-        std::unique_ptr<World> world = std::move(idle_.back());
-        idle_.pop_back();
-        HMDIV_OBS_COUNT("sim.trial.clone_reuse", 1);
-        return world;
-      }
-    }
-    HMDIV_OBS_COUNT("sim.trial.world_clones", 1);
-    return prototype_.clone();
-  }
-
-  void release(std::unique_ptr<World> world) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    idle_.push_back(std::move(world));
-  }
-
- private:
-  const World& prototype_;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<World>> idle_;
-};
-
-}  // namespace
-
-void World::simulate_batch(std::span<CaseRecord> out, stats::Rng& rng) {
-  for (CaseRecord& record : out) record = simulate_case(rng);
-}
 
 double TrialData::observed_failure_rate() const {
   if (records.empty()) return 0.0;
@@ -121,38 +78,17 @@ std::vector<CaseRecord> TrialRunner::run_batches(std::uint64_t seed,
       static_cast<std::size_t>(case_end - case_begin));
   if (records.empty()) return records;
   HMDIV_OBS_COUNT("sim.trial.cases", records.size());
-  const auto total = records.size();
   // Chunk c of this sub-range is global batch first_batch + c (case_begin
   // is a multiple of kBatchSize, so chunk boundaries coincide with the
   // full run's batch boundaries) — same substream, same records.
-  auto run_batch = [&](World& world, std::size_t begin, std::size_t end,
-                       std::size_t batch) {
-    HMDIV_OBS_SCOPED_TIMER("sim.trial.batch_ns");
-    stats::Rng batch_rng(seed, first_batch + batch);
-    world.simulate_batch(
-        std::span<CaseRecord>(records).subspan(begin, end - begin),
-        batch_rng);
-  };
-  if (world_.stateless()) {
-    // Stateless worlds: borrow clones from a pool and reuse them across
-    // batches — at most one allocation per concurrent batch per run.
-    ClonePool pool(world_);
-    exec::parallel_for_chunks(
-        total, kBatchSize,
-        [&](std::size_t begin, std::size_t end, std::size_t batch) {
-          std::unique_ptr<World> local = pool.acquire();
-          run_batch(*local, begin, end, batch);
-          pool.release(std::move(local));
-        },
-        config);
-    return records;
-  }
   exec::parallel_for_chunks(
-      total, kBatchSize,
+      records.size(), kBatchSize,
       [&](std::size_t begin, std::size_t end, std::size_t batch) {
-        HMDIV_OBS_COUNT("sim.trial.world_clones", 1);
-        const std::unique_ptr<World> local = world_.clone();
-        run_batch(*local, begin, end, batch);
+        HMDIV_OBS_SCOPED_TIMER("sim.trial.batch_ns");
+        stats::Rng batch_rng(seed, first_batch + batch);
+        world_.simulate_batch(
+            std::span<CaseRecord>(records).subspan(begin, end - begin),
+            batch_rng);
       },
       config);
   return records;

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -39,15 +38,17 @@ class World {
   /// in test_batch_sim.cpp).
   [[nodiscard]] virtual CaseRecord simulate_case(stats::Rng& rng) = 0;
 
-  /// Simulates out.size() consecutive demands into `out`. The default
-  /// loops over simulate_case; worlds with a flat-table representation
-  /// override it with a batch-granular kernel (probability tables hoisted
-  /// out of the loop, bulk RNG, alias-method class sampling — see
-  /// DESIGN.md §8). An override is the *canonical* draw stream for that
-  /// world's batched trials: TrialRunner::run(seed, config) always goes
-  /// through simulate_batch, so there is exactly one golden stream per
-  /// (world, seed, batch-layout) regardless of thread count.
-  virtual void simulate_batch(std::span<CaseRecord> out, stats::Rng& rng);
+  /// Simulates out.size() consecutive demands into `out`: the *canonical*
+  /// draw stream for the world's batched trials. TrialRunner::run(seed,
+  /// config) hands every batch to this one const kernel on the one world,
+  /// from any pool thread at once, so there is exactly one golden stream
+  /// per (world, seed, batch layout) regardless of thread count. The
+  /// kernel may consume randomness in a different order from
+  /// simulate_case (see DESIGN.md §8), and must leave the world unchanged:
+  /// a world with per-run state (an adapting reader) simulates the batch
+  /// on a local copy of itself, so every batch starts from its state.
+  virtual void simulate_batch(std::span<CaseRecord> out,
+                              stats::Rng& rng) const = 0;
 
   /// Number of demand classes the world can emit.
   [[nodiscard]] virtual std::size_t class_count() const = 0;
@@ -55,22 +56,6 @@ class World {
   /// Class names, aligned with CaseRecord::class_index.
   [[nodiscard]] virtual const std::vector<std::string>& class_names()
       const = 0;
-
-  /// Returns an independent copy of this world. Parallel trial runs give
-  /// each case batch its own clone (so per-run state such as reader
-  /// adaptation restarts per batch), or reuse pooled clones when the
-  /// world is stateless().
-  [[nodiscard]] virtual std::unique_ptr<World> clone() const = 0;
-
-  /// True iff simulating cases leaves no observable state behind, i.e.
-  /// simulate_batch on a clone yields the same records whether the clone
-  /// is fresh or has already simulated other batches. Stateless worlds let
-  /// TrialRunner reuse a small per-run pool of clones across batches
-  /// instead of allocating one clone per batch; stateful worlds (e.g. an
-  /// adapting reader) keep the clone-per-batch scheme so every batch
-  /// restarts from this world's state. Either way the output is
-  /// bit-identical at any thread count.
-  [[nodiscard]] virtual bool stateless() const { return false; }
 };
 
 /// Collected trial data.
@@ -105,11 +90,9 @@ class TrialRunner {
   [[nodiscard]] TrialData run(stats::Rng& rng);
 
   /// Runs the trial in fixed batches of kBatchSize cases on the exec
-  /// engine: batch b runs the world's batched kernel (simulate_batch) with
-  /// substream Rng(seed, b), and records are merged in case order —
-  /// bit-identical output for any thread count. Stateless worlds draw
-  /// their clones from a reused per-run pool; stateful worlds get a fresh
-  /// clone per batch.
+  /// engine: batch b runs the world's const batched kernel
+  /// (simulate_batch) with substream Rng(seed, b), and records are merged
+  /// in case order — bit-identical output for any thread count.
   [[nodiscard]] TrialData run(
       std::uint64_t seed,
       const exec::Config& config = {});

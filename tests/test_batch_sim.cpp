@@ -2,14 +2,13 @@
 // path is the reference implementation of each world's case distribution;
 // simulate_batch may consume randomness in a different order but must be
 // distributionally equivalent (chi-square on the class mix, two-proportion
-// z-tests on the failure rates). Clone reuse must be *bit*-identical to
-// the per-batch fresh-clone scheme — the batched (seed, batch-substream)
-// layout is the single golden stream per world.
+// z-tests on the failure rates). A batched trial run must be *bit*-identical
+// to the per-batch substream layout built by hand — the batched (seed,
+// batch-substream) layout is the single golden stream per world.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -44,62 +43,6 @@ std::uint64_t human_failures(const std::vector<CaseRecord>& records) {
   std::uint64_t n = 0;
   for (const auto& r : records) n += r.human_failed ? 1 : 0;
   return n;
-}
-
-/// A world with only the scalar kernel, to pin down the base-class default.
-class ScalarOnlyWorld final : public World {
- public:
-  [[nodiscard]] CaseRecord simulate_case(stats::Rng& rng) override {
-    CaseRecord record;
-    record.class_index = rng.uniform() < 0.25 ? 1 : 0;
-    record.machine_failed = rng.bernoulli(0.3);
-    record.human_failed = rng.bernoulli(record.machine_failed ? 0.6 : 0.1);
-    return record;
-  }
-  [[nodiscard]] std::size_t class_count() const override { return 2; }
-  [[nodiscard]] const std::vector<std::string>& class_names() const override {
-    static const std::vector<std::string> names{"easy", "difficult"};
-    return names;
-  }
-  [[nodiscard]] std::unique_ptr<World> clone() const override {
-    return std::make_unique<ScalarOnlyWorld>();
-  }
-};
-
-TEST(BatchSim, DefaultBatchIsTheSequentialScalarLoop) {
-  ScalarOnlyWorld world;
-  stats::Rng batch_rng(7), scalar_rng(7);
-  std::vector<CaseRecord> batched(1000);
-  world.simulate_batch(batched, batch_rng);
-  for (const auto& record : batched) {
-    EXPECT_TRUE(same_record(record, world.simulate_case(scalar_rng)));
-  }
-  EXPECT_EQ(batch_rng.next_u64(), scalar_rng.next_u64());
-}
-
-TEST(BatchSim, DefaultCapabilityQueriesMatchCloneBehaviour) {
-  ScalarOnlyWorld plain;
-  EXPECT_NE(plain.clone(), nullptr);
-  EXPECT_FALSE(plain.stateless());  // the base-class default
-
-  TabularWorld tabular(core::paper::example_model(),
-                       core::paper::trial_profile());
-  EXPECT_NE(tabular.clone(), nullptr);
-  EXPECT_TRUE(tabular.stateless());
-
-  // The reference reader is static (adaptation_rate = 0), so the world is
-  // stateless even with adaptation nominally enabled; give it a learning
-  // rate and it becomes stateful until adaptation is frozen.
-  const FeatureWorld reference = reference_feature_world();
-  EXPECT_NE(reference.clone(), nullptr);
-  EXPECT_TRUE(reference.stateless());
-  ReaderModel::Config adapting = reference.reader().config();
-  adapting.adaptation_rate = 0.1;
-  FeatureWorld feature(reference.generator(), reference.cadt(),
-                       ReaderModel(adapting));
-  EXPECT_FALSE(feature.stateless());
-  feature.set_adaptation_enabled(false);
-  EXPECT_TRUE(feature.stateless());
 }
 
 TEST(BatchSim, TabularBatchClassMixMatchesProfile) {
@@ -195,21 +138,20 @@ TEST(BatchSim, ParallelWorldBatchMatchesScalarDistribution) {
   }
 }
 
-TEST(BatchSim, CloneReuseIsBitIdenticalToClonePerBatch) {
+TEST(BatchSim, TrialRunIsThePerBatchSubstreamLayout) {
   TabularWorld world(core::paper::example_model(),
                      core::paper::trial_profile());
-  // Mixed full/partial batches, enough of them for real pool reuse.
+  // Mixed full/partial batches, more of them than threads.
   const std::uint64_t cases = 5 * TrialRunner::kBatchSize + 123;
   const std::uint64_t seed = 20030623;
 
-  // Baseline: the documented per-batch scheme, built by hand — one fresh
-  // clone and one Rng(seed, batch) substream per kBatchSize slice.
+  // Baseline: the documented per-batch scheme, built by hand — one
+  // Rng(seed, batch) substream per kBatchSize slice, all on the one world.
   std::vector<CaseRecord> baseline(cases);
   for (std::uint64_t batch = 0, begin = 0; begin < cases; ++batch) {
     const std::uint64_t end = std::min(cases, begin + TrialRunner::kBatchSize);
-    const std::unique_ptr<World> clone = world.clone();
     stats::Rng batch_rng(seed, batch);
-    clone->simulate_batch(
+    world.simulate_batch(
         std::span<CaseRecord>(baseline).subspan(begin, end - begin),
         batch_rng);
     begin = end;
@@ -224,6 +166,45 @@ TEST(BatchSim, CloneReuseIsBitIdenticalToClonePerBatch) {
           << "threads " << threads << " case " << i;
     }
   }
+}
+
+TEST(BatchSim, AdaptingWorldRestartsEveryBatchFromItsOwnState) {
+  // An adapting reader changes the world it simulates. Every batch of a
+  // trial run starts from the world's own state, and the run leaves that
+  // state unchanged, at any thread count.
+  const FeatureWorld reference = reference_feature_world();
+  ReaderModel::Config adapting = reference.reader().config();
+  adapting.adaptation_rate = 0.05;
+  FeatureWorld world(reference.generator(), reference.cadt(),
+                     ReaderModel(adapting));
+  const double reliance = world.reader().reliance();
+  const std::uint64_t cases = 3 * TrialRunner::kBatchSize + 17;
+  const std::uint64_t seed = 20030624;
+
+  // Baseline: each batch runs the scalar path on a fresh copy of the world
+  // with substream Rng(seed, batch).
+  std::vector<CaseRecord> baseline;
+  for (std::uint64_t batch = 0; baseline.size() < cases; ++batch) {
+    FeatureWorld fresh = world;
+    stats::Rng batch_rng(seed, batch);
+    const std::uint64_t end =
+        std::min(cases, baseline.size() + TrialRunner::kBatchSize);
+    while (baseline.size() < end) {
+      baseline.push_back(fresh.simulate_case(batch_rng));
+    }
+    EXPECT_NE(fresh.reader().reliance(), reliance) << batch;  // it adapts
+  }
+
+  TrialRunner runner(world, cases);
+  for (const unsigned threads : {1u, 4u}) {
+    const TrialData data = runner.run(seed, exec::Config{threads});
+    ASSERT_EQ(data.records.size(), baseline.size()) << threads;
+    for (std::size_t i = 0; i < baseline.size(); ++i) {
+      ASSERT_TRUE(same_record(data.records[i], baseline[i]))
+          << "threads " << threads << " case " << i;
+    }
+  }
+  EXPECT_EQ(world.reader().reliance(), reliance);
 }
 
 }  // namespace

@@ -92,32 +92,6 @@ TEST(DesignAdvisor, UniformCandidateUsesAllClasses) {
   EXPECT_NEAR(total, parts, 1e-12);  // linearity in PMf
 }
 
-TEST(DesignAdvisor, MemoisedEvaluateMatchesExplicitModelTransform) {
-  // evaluate() re-sums Eq. (8) from memoised tables instead of building an
-  // improved model; the result must equal the explicit transform exactly.
-  const auto advisor = field_advisor();
-  const auto& m = advisor.model();
-  const auto& profile = advisor.profile();
-  for (const double factor : {0.0, 0.1, 0.7, 1.0, 2.5}) {
-    for (std::size_t x = 0; x < m.class_count(); ++x) {
-      ImprovementCandidate c{"class", x, factor};
-      const auto effect = advisor.evaluate(c);
-      EXPECT_EQ(effect.baseline_failure,
-                m.system_failure_probability(profile));
-      EXPECT_EQ(effect.improved_failure,
-                m.with_machine_improvement(x, factor)
-                    .system_failure_probability(profile))
-          << "x=" << x << " factor=" << factor;
-    }
-    ImprovementCandidate all{"all", ImprovementCandidate::kAllClasses,
-                             factor};
-    EXPECT_EQ(advisor.evaluate(all).improved_failure,
-              m.with_uniform_machine_improvement(factor)
-                  .system_failure_probability(profile))
-        << "factor=" << factor;
-  }
-}
-
 TEST(DesignAdvisor, EvaluateValidatesLikeTheModelTransforms) {
   const auto advisor = field_advisor();
   ImprovementCandidate out_of_range{"bad", 99, 0.5};

@@ -60,40 +60,19 @@ TEST(Sensitivity, ValidatesInput) {
   EXPECT_THROW(static_cast<void>(finite_difference_machine_failure(
                    m, paper::field_profile(), 0, 0.0)),
                std::invalid_argument);
-}
-
-
-TEST(Sensitivity, GradientVectorMatchesPerClassFiniteDifference) {
-  // The SoA-staged gradient must reproduce the single-class form exactly —
-  // both evaluate the same perturbed Eq. (8) sums in the same order.
-  const auto m = paper::example_model();
-  const auto field = paper::field_profile();
-  const auto grad = finite_difference_machine_failure_gradient(m, field);
-  ASSERT_EQ(grad.size(), m.class_count());
-  for (std::size_t x = 0; x < m.class_count(); ++x) {
-    EXPECT_EQ(grad[x], finite_difference_machine_failure(m, field, x)) << x;
-  }
-}
-
-TEST(Sensitivity, GradientVectorValidatesInput) {
-  const auto m = paper::example_model();
-  const auto field = paper::field_profile();
-  EXPECT_THROW(static_cast<void>(
-                   finite_difference_machine_failure_gradient(m, field, 0.0)),
-               std::invalid_argument);
-  const DemandProfile wrong({"x", "y"}, {0.5, 0.5});
-  EXPECT_THROW(static_cast<void>(
-                   finite_difference_machine_failure_gradient(m, wrong)),
-               std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(finite_difference_machine_failure(m, wrong, 0)),
+      std::invalid_argument);
   // A boundary PMf makes the central difference undefined for that class.
   const SequentialModel boundary(
       {"a", "b"},
       {ClassConditional{0.0, 0.3, 0.1}, ClassConditional{0.5, 0.4, 0.2}});
   const DemandProfile profile({"a", "b"}, {0.5, 0.5});
   EXPECT_THROW(static_cast<void>(
-                   finite_difference_machine_failure_gradient(boundary,
-                                                              profile)),
+                   finite_difference_machine_failure(boundary, profile, 0)),
                std::invalid_argument);
+  EXPECT_NO_THROW(static_cast<void>(
+      finite_difference_machine_failure(boundary, profile, 1)));
 }
 
 /// Property: analytic gradient equals central finite differences for random
