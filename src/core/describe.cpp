@@ -54,13 +54,12 @@ Table failure_table(const SequentialModel& model, const DemandProfile& trial,
 
 Table improvement_table(const std::vector<ImprovementEffect>& effects) {
   Table table({"candidate", "PHf before", "PHf after", "abs. gain",
-               "rel. gain", "analytic gain"});
+               "rel. gain"});
   table.caption("Machine improvement candidates, ranked");
   for (const auto& e : effects) {
     table.row({e.name, fixed(e.baseline_failure, 3),
                fixed(e.improved_failure, 3), fixed(e.absolute_gain(), 4),
-               report::percent(e.relative_gain(), 1),
-               fixed(e.analytic_gain, 4)});
+               report::percent(e.relative_gain(), 1)});
   }
   return table;
 }

@@ -26,12 +26,6 @@ ImprovementEffect DesignAdvisor::evaluate(
   out.name = candidate.name;
   out.baseline_failure = model_.system_failure_probability(profile_);
   out.improved_failure = improved.system_failure_probability(profile_);
-  for (std::size_t x = 0; x < model_.class_count(); ++x) {
-    const ClassConditional& c = model_.parameters(x);
-    out.analytic_gain +=
-        profile_[x] * c.importance_index() *
-        (c.p_machine_fails - improved.parameters(x).p_machine_fails);
-  }
   return out;
 }
 

@@ -41,10 +41,6 @@ struct ImprovementEffect {
   [[nodiscard]] double relative_gain() const {
     return baseline_failure > 0.0 ? absolute_gain() / baseline_failure : 0.0;
   }
-  /// The analytic first-order gain p(x)·t(x)·ΔPMf(x) summed over affected
-  /// classes; equals absolute_gain() exactly because Eq. (9) is linear in
-  /// PMf(x) at fixed human response.
-  double analytic_gain = 0.0;
 };
 
 /// Diagnosis of where the system's failure probability comes from and what

@@ -22,21 +22,28 @@ TEST(DesignAdvisor, ValidatesProfile) {
 
 TEST(DesignAdvisor, AnalyticGainEqualsExactGain) {
   // Eq. (9) is linear in PMf at fixed human response, so the first-order
-  // gain is exact.
+  // gain p(x)·t(x)·ΔPMf(x), summed over the improved classes, is exact.
   const auto advisor = field_advisor();
+  const auto& m = advisor.model();
+  const auto& profile = advisor.profile();
+  const auto first_order_gain = [&](std::size_t x, double factor) {
+    const double pmf = m.parameters(x).p_machine_fails;
+    return profile[x] * m.importance_index(x) * (pmf - pmf * factor);
+  };
   for (std::size_t x = 0; x < 2; ++x) {
     ImprovementCandidate c;
     c.name = "improve class " + std::to_string(x);
     c.class_index = x;
     c.factor = paper::kImprovementFactor;
-    const auto effect = advisor.evaluate(c);
-    EXPECT_NEAR(effect.absolute_gain(), effect.analytic_gain, 1e-12) << x;
+    EXPECT_NEAR(advisor.evaluate(c).absolute_gain(),
+                first_order_gain(x, c.factor), 1e-12)
+        << x;
   }
   ImprovementCandidate uniform;
   uniform.name = "all";
   uniform.factor = 0.5;
-  const auto effect = advisor.evaluate(uniform);
-  EXPECT_NEAR(effect.absolute_gain(), effect.analytic_gain, 1e-12);
+  EXPECT_NEAR(advisor.evaluate(uniform).absolute_gain(),
+              first_order_gain(0, 0.5) + first_order_gain(1, 0.5), 1e-12);
 }
 
 TEST(DesignAdvisor, RankPutsDifficultClassFirst) {
