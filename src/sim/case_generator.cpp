@@ -18,9 +18,16 @@ CaseGenerator::CaseGenerator(std::vector<CaseClassSpec> specs,
       throw std::invalid_argument(
           "CaseGenerator: spec names must match profile class names");
     }
-    if (!(s.human_difficulty_sigma >= 0.0) ||
-        !(s.machine_difficulty_sigma >= 0.0)) {
-      throw std::invalid_argument("CaseGenerator: sigmas must be >= 0");
+    if (!std::isfinite(s.human_difficulty_mean) ||
+        !std::isfinite(s.machine_difficulty_mean)) {
+      throw std::invalid_argument("CaseGenerator: means must be finite");
+    }
+    if (!(std::isfinite(s.human_difficulty_sigma) &&
+          s.human_difficulty_sigma >= 0.0) ||
+        !(std::isfinite(s.machine_difficulty_sigma) &&
+          s.machine_difficulty_sigma >= 0.0)) {
+      throw std::invalid_argument(
+          "CaseGenerator: sigmas must be finite and >= 0");
     }
     if (!(s.difficulty_correlation >= -1.0 &&
           s.difficulty_correlation <= 1.0)) {

@@ -31,7 +31,9 @@ struct CaseClassSpec {
 /// Samples cases class-by-class according to a demand profile.
 class CaseGenerator {
  public:
-  /// Spec names must match the profile's class names (same order).
+  /// Spec names must match the profile's class names (same order); means
+  /// must be finite and sigmas finite and >= 0. Throws
+  /// std::invalid_argument otherwise.
   CaseGenerator(std::vector<CaseClassSpec> specs,
                 core::DemandProfile profile);
 

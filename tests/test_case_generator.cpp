@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -47,6 +48,25 @@ TEST(CaseGenerator, ValidatesConstruction) {
   auto bad_sigma = specs;
   bad_sigma[0].human_difficulty_sigma = -0.1;
   EXPECT_THROW(CaseGenerator(bad_sigma, two_profile()), std::invalid_argument);
+  // Non-finite specs, on each axis, would sample inf/NaN difficulties.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto inf_human_sigma = specs;
+  inf_human_sigma[1].human_difficulty_sigma = inf;
+  EXPECT_THROW(CaseGenerator(inf_human_sigma, two_profile()),
+               std::invalid_argument);
+  auto inf_machine_sigma = specs;
+  inf_machine_sigma[1].machine_difficulty_sigma = inf;
+  EXPECT_THROW(CaseGenerator(inf_machine_sigma, two_profile()),
+               std::invalid_argument);
+  auto nan_human_mean = specs;
+  nan_human_mean[1].human_difficulty_mean = nan;
+  EXPECT_THROW(CaseGenerator(nan_human_mean, two_profile()),
+               std::invalid_argument);
+  auto nan_machine_mean = specs;
+  nan_machine_mean[1].machine_difficulty_mean = nan;
+  EXPECT_THROW(CaseGenerator(nan_machine_mean, two_profile()),
+               std::invalid_argument);
 }
 
 TEST(CaseGenerator, ClassFrequenciesMatchProfile) {
