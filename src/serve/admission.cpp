@@ -14,7 +14,6 @@ AdmissionGate::Outcome AdmissionGate::acquire(Clock::time_point deadline) {
     ++in_flight_;
     return Outcome::kAdmitted;
   }
-  if (queued_ >= options_.max_queue) return Outcome::kShedQueueFull;
   ++queued_;
   const bool got_slot = slot_freed_.wait_until(lock, deadline, [&] {
     return in_flight_ < options_.max_concurrent;

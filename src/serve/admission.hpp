@@ -1,14 +1,13 @@
-// Admission control for the serve daemon: a bounded concurrency gate that
-// sheds load instead of queueing it unboundedly.
+// Admission control for the serve daemon: a concurrency gate whose waits
+// are bounded by each request's deadline.
 //
-// Tail latency in a saturated server is set by queue length, not by
-// compute speed — an unbounded queue turns a burst into minutes of
-// stale-deadline work. The gate therefore admits up to `max_concurrent`
-// requests at once, lets at most `max_queue` more wait, and refuses
-// everything beyond that *immediately* with a structured "shed" outcome
-// the protocol layer turns into a 429-style error. Waiters are bounded by
-// their request deadline: a request whose deadline passes while queued is
-// failed as deadline_exceeded without ever running.
+// The gate admits up to `max_concurrent` requests at once; the rest wait
+// for a slot. The queue is bounded by the transport, not by the gate:
+// each connection thread handles one request line at a time and the
+// server caps open connections, so at most that many callers can wait.
+// A request whose deadline passes while queued is failed as
+// deadline_exceeded without ever running, so a burst never turns into
+// stale-deadline work.
 #pragma once
 
 #include <chrono>
@@ -25,21 +24,18 @@ class AdmissionGate {
   struct Options {
     /// Requests allowed to execute simultaneously (>= 1).
     std::size_t max_concurrent = 1;
-    /// Requests allowed to wait for a slot; one more is shed.
-    std::size_t max_queue = 64;
   };
 
   enum class Outcome {
     kAdmitted,          ///< slot acquired; caller must release()
-    kShedQueueFull,     ///< refused immediately: queue at capacity
     kDeadlineExceeded,  ///< queued, but the deadline passed before a slot
   };
 
   explicit AdmissionGate(Options options);
 
   /// Tries to acquire an execution slot, waiting (bounded by `deadline`)
-  /// in FIFO-ish order behind up to max_queue other waiters. Only
-  /// kAdmitted transfers ownership of a slot.
+  /// in FIFO-ish order behind the other waiters. Only kAdmitted transfers
+  /// ownership of a slot.
   [[nodiscard]] Outcome acquire(Clock::time_point deadline);
 
   /// Returns a slot acquired by a successful acquire().

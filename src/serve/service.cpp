@@ -260,8 +260,7 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
     : options_(options),
       gate_({options.max_concurrent != 0
                  ? options.max_concurrent
-                 : std::max(1u, std::thread::hardware_concurrency()),
-             options.max_queue}),
+                 : std::max(1u, std::thread::hardware_concurrency())}),
       started_(Clock::now()),
       state_(build_loaded(std::move(model), std::move(trial),
                           std::move(field))) {
@@ -274,7 +273,6 @@ Service::Service(core::SequentialModel model, core::DemandProfile trial,
     base += table[i].name;
     metrics_[i].requests = &registry.counter(base + ".requests");
     metrics_[i].errors = &registry.counter(base + ".errors");
-    metrics_[i].shed = &registry.counter(base + ".shed");
     metrics_[i].ns = &registry.histogram(base + ".ns");
     if (table[i].cached) {
       metrics_[i].cache_hit = &registry.counter(base + ".cache_hit");
@@ -394,13 +392,7 @@ void Service::execute(const Parsed& request, RequestScratch& scratch,
   }
   // Compute endpoints go through admission control.
   const AdmissionTicket ticket(gate_, request.deadline);
-  if (ticket.outcome() == AdmissionGate::Outcome::kShedQueueFull) {
-    if (obs::enabled()) metrics_[request.ep].shed->add(1);
-    write_error_line(out, request.id, "shed",
-                     "admission queue full; retry later");
-    return;
-  }
-  if (ticket.outcome() == AdmissionGate::Outcome::kDeadlineExceeded) {
+  if (!ticket.admitted()) {
     throw RequestError{kDeadlineExceeded, "deadline expired while queued"};
   }
   check_deadline(request.deadline);

@@ -7,9 +7,9 @@
 //   {"op":"whatif","id":7,"deadline_ms":250,"params":{...}}
 // ->
 //   {"id":7,"ok":true,"result":{...}}
-//   {"id":7,"ok":false,"error":{"code":"shed","message":"..."}}
+//   {"id":7,"ok":false,"error":{"code":"deadline_exceeded","message":"..."}}
 //
-// Error codes: bad_request, unknown_op, shed, deadline_exceeded, internal.
+// Error codes: bad_request, unknown_op, deadline_exceeded, internal.
 //
 // Request lifecycle (DESIGN.md §13):
 //  * Each handle_line() opens a Workspace::Scope on the calling thread's
@@ -17,8 +17,8 @@
 //    are rewound on return. Together with the reused RequestScratch
 //    buffers, hot endpoints (whatif/compare on cache hits) perform zero
 //    steady-state heap allocations.
-//  * Compute endpoints pass through the AdmissionGate (bounded queue +
-//    deadline wait); health/metrics/reload bypass it so the daemon stays
+//  * Compute endpoints pass through the AdmissionGate (deadline-bounded
+//    wait); health/metrics/reload bypass it so the daemon stays
 //    observable under overload.
 //  * Model state (model, profiles, derived engines) lives behind a
 //    shared_mutex with an epoch counter. `reload` swaps in a new bundle
@@ -26,7 +26,7 @@
 //    cache — cached values are keyed by request inputs only and would
 //    otherwise leak answers computed against the previous model.
 //
-// Metrics: serve.<ep>.requests / .errors / .shed counters and a
+// Metrics: serve.<ep>.requests / .errors counters and a
 // serve.<ep>.ns histogram per endpoint, plus serve.<ep>.cache_hit/_miss
 // for the cached endpoints; all registered once at construction and
 // gated on obs::enabled().
@@ -63,7 +63,6 @@ struct ServiceOptions {
   unsigned compute_threads = 1;
   /// Admission control; max_concurrent 0 = hardware concurrency.
   std::size_t max_concurrent = 0;
-  std::size_t max_queue = 64;
 };
 
 /// Per-connection reusable parse/compute scratch. Buffer capacities
@@ -141,7 +140,6 @@ class Service {
   struct EndpointMetrics {
     obs::Counter* requests = nullptr;
     obs::Counter* errors = nullptr;
-    obs::Counter* shed = nullptr;
     obs::Histogram* ns = nullptr;
     obs::Counter* cache_hit = nullptr;   // cached endpoints only
     obs::Counter* cache_miss = nullptr;  // cached endpoints only

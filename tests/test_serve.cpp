@@ -280,27 +280,28 @@ TEST(ServeServiceTest, UqIsDeterministicForFixedSeed) {
 
 // --- admission control ----------------------------------------------------
 
-TEST(ServeAdmissionTest, ShedsWithStructuredErrorWhenSaturated) {
+TEST(ServeAdmissionTest, QueuedRequestFailsAtItsDeadline) {
   serve::ServiceOptions options;
   options.max_concurrent = 1;
-  options.max_queue = 0;
   auto service = make_service(options);
 
-  // Occupy the single slot directly, then submit a compute request.
+  // Occupy the single slot directly, then submit a compute request that
+  // may wait 20 ms for it.
   const auto outcome =
       service.gate().acquire(serve::Service::Clock::now() + 10s);
   ASSERT_EQ(outcome, serve::AdmissionGate::Outcome::kAdmitted);
-  const std::string out = respond(service, "{\"op\":\"whatif\",\"id\":5}");
+  const std::string out =
+      respond(service, "{\"op\":\"whatif\",\"id\":5,\"deadline_ms\":20}");
   service.gate().release();
 
-  EXPECT_TRUE(has_error_code(out, "shed")) << out;
+  EXPECT_TRUE(has_error_code(out, "deadline_exceeded")) << out;
+  EXPECT_NE(out.find("while queued"), std::string::npos) << out;
   EXPECT_NE(out.find("\"id\":5"), std::string::npos) << out;
 }
 
 TEST(ServeAdmissionTest, HealthBypassesTheGate) {
   serve::ServiceOptions options;
   options.max_concurrent = 1;
-  options.max_queue = 0;
   auto service = make_service(options);
   ASSERT_EQ(service.gate().acquire(serve::Service::Clock::now() + 10s),
             serve::AdmissionGate::Outcome::kAdmitted);
@@ -310,7 +311,7 @@ TEST(ServeAdmissionTest, HealthBypassesTheGate) {
 }
 
 TEST(ServeAdmissionTest, QueuedWaiterTimesOutAtDeadline) {
-  serve::AdmissionGate gate({/*max_concurrent=*/1, /*max_queue=*/4});
+  serve::AdmissionGate gate({/*max_concurrent=*/1});
   ASSERT_EQ(gate.acquire(serve::Service::Clock::now() + 10s),
             serve::AdmissionGate::Outcome::kAdmitted);
   EXPECT_EQ(gate.acquire(serve::Service::Clock::now() + 20ms),
@@ -319,7 +320,7 @@ TEST(ServeAdmissionTest, QueuedWaiterTimesOutAtDeadline) {
 }
 
 TEST(ServeAdmissionTest, WaiterAdmittedWhenSlotFrees) {
-  serve::AdmissionGate gate({/*max_concurrent=*/1, /*max_queue=*/4});
+  serve::AdmissionGate gate({/*max_concurrent=*/1});
   ASSERT_EQ(gate.acquire(serve::Service::Clock::now() + 10s),
             serve::AdmissionGate::Outcome::kAdmitted);
   std::thread releaser([&] {
