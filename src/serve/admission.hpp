@@ -64,7 +64,6 @@ class AdmissionTicket {
     if (outcome_ == AdmissionGate::Outcome::kAdmitted) gate_->release();
   }
 
-  [[nodiscard]] AdmissionGate::Outcome outcome() const { return outcome_; }
   [[nodiscard]] bool admitted() const {
     return outcome_ == AdmissionGate::Outcome::kAdmitted;
   }
