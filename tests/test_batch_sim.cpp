@@ -83,7 +83,7 @@ TEST(BatchSim, TabularBatchFailureRatesMatchScalarReference) {
 }
 
 TEST(BatchSim, FeatureWorldBatchSharesTheScalarStream) {
-  // FeatureWorld's batch kernel is the devirtualised scalar loop, so batch
+  // FeatureWorld's batch kernel is the scalar loop on a copy, so batch
   // and scalar agree bit-for-bit, not merely in distribution.
   FeatureWorld batch_world = reference_feature_world();
   FeatureWorld scalar_world = reference_feature_world();
