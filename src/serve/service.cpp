@@ -26,9 +26,9 @@ struct RequestError {
   std::string message;
 };
 
-/// Grid chunk sizes between deadline checks: big enough to amortise the
-/// clock read, small enough that an expired request dies within ~ms.
-constexpr std::size_t kSweepChunk = 2048;
+/// Grid chunk size between minimise's deadline checks: big enough to
+/// amortise the clock read, small enough that an expired request dies
+/// within ~ms.
 constexpr std::size_t kMinimiseChunk = 8192;
 
 /// Deadline applied when a request carries none, and the cap on the
@@ -582,7 +582,6 @@ void Service::handle_whatif(const Loaded* state, const Parsed& request,
 void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
                            RequestScratch& scratch, std::string& out) {
   const Loaded& state = *state_ptr;
-  const Clock::time_point deadline = request.deadline;
   const JsonValue& p =
       request.params != nullptr ? *request.params : kEmptyParams;
   const std::size_t steps = static_cast<std::size_t>(
@@ -602,26 +601,15 @@ void Service::handle_sweep(const Loaded* state_ptr, const Parsed& request,
   bool cached = false;
   const SweepSummary summary =
       memoised(kSweep, sweep_cache_, scratch.key, cached, [&] {
-        exec::Workspace& workspace = exec::thread_workspace();
-        const std::span<double> thresholds = workspace.alloc<double>(steps);
-        for (std::size_t i = 0; i < steps; ++i) {
-          thresholds[i] = lo + (hi - lo) * static_cast<double>(i) /
-                                   static_cast<double>(steps - 1);
-        }
-        const std::span<core::SystemOperatingPoint> curve =
-            workspace.alloc<core::SystemOperatingPoint>(steps);
-        const exec::Config config{options_.compute_threads};
-        for (std::size_t first = 0; first < steps; first += kSweepChunk) {
-          check_deadline(deadline);
-          const std::size_t count = std::min(kSweepChunk, steps - first);
-          state.analyzer.sweep_into(thresholds.subspan(first, count),
-                                    curve.subspan(first, count), config);
-        }
+        // Point j is grid point j * (steps - 1) / (points - 1) of the
+        // steps-point grid on [lo, hi]; only those points are evaluated.
         SweepSummary built;
         built.point_count = static_cast<std::uint32_t>(points);
         for (std::size_t j = 0; j < points; ++j) {
           const std::size_t index = j * (steps - 1) / (points - 1);
-          built.points[j] = curve[index];
+          built.points[j] = state.analyzer.evaluate(
+              lo + (hi - lo) * static_cast<double>(index) /
+                       static_cast<double>(steps - 1));
         }
         return built;
       });

@@ -178,35 +178,47 @@ TEST(ServeServiceTest, WhatifMatchesExtrapolatorDirectly) {
 }
 
 TEST(ServeServiceTest, SweepMatchesBinormalTradeoffDirectly) {
-  auto service = make_service();
-  const std::string out = respond(
-      service,
-      "{\"op\":\"sweep\",\"params\":{\"steps\":101,\"points\":11,"
-      "\"lo\":-3,\"hi\":2}}");
-  ASSERT_NE(out.find("\"ok\":true"), std::string::npos) << out;
-
+  struct Row {
+    const char* line;
+    std::size_t steps, points;
+    double lo, hi;
+  };
+  const Row rows[] = {
+      {"{\"op\":\"sweep\",\"params\":{\"steps\":101,\"points\":11,"
+       "\"lo\":-3,\"hi\":2}}",
+       101, 11, -3.0, 2.0},
+      {"{\"op\":\"sweep\",\"params\":{\"steps\":100000,\"points\":33}}",
+       100000, 33, -4.0, 4.0},
+  };
   const core::TradeoffAnalyzer direct = core::binormal_tradeoff(
       core::paper::example_model(), core::paper::field_profile());
-  std::size_t points = 0;
-  for (std::size_t at = out.find("{\"threshold\":"); at != std::string::npos;
-       at = out.find("{\"threshold\":", at + 1)) {
-    const std::string point = out.substr(at, out.find('}', at) - at + 1);
-    // Point j sits at grid index j * (steps - 1) / (points - 1).
-    const double threshold = -3.0 + 5.0 * static_cast<double>(points * 10) /
-                                         100.0;
-    EXPECT_EQ(number_field(point, "threshold"), threshold) << point;
-    const core::SystemOperatingPoint expected = direct.evaluate(threshold);
-    EXPECT_EQ(number_field(point, "machine_fn"), expected.machine_fn);
-    EXPECT_EQ(number_field(point, "machine_fp"), expected.machine_fp);
-    EXPECT_EQ(number_field(point, "system_fn"), expected.system_fn);
-    EXPECT_EQ(number_field(point, "system_fp"), expected.system_fp);
-    EXPECT_EQ(number_field(point, "sensitivity"), expected.sensitivity);
-    EXPECT_EQ(number_field(point, "specificity"), expected.specificity);
-    EXPECT_EQ(number_field(point, "recall_rate"), expected.recall_rate);
-    EXPECT_EQ(number_field(point, "ppv"), expected.ppv);
-    ++points;
+  auto service = make_service();
+  for (const Row& row : rows) {
+    const std::string out = respond(service, row.line);
+    ASSERT_NE(out.find("\"ok\":true"), std::string::npos) << out;
+    std::size_t points = 0;
+    for (std::size_t at = out.find("{\"threshold\":");
+         at != std::string::npos; at = out.find("{\"threshold\":", at + 1)) {
+      const std::string point = out.substr(at, out.find('}', at) - at + 1);
+      // Point j sits at grid index j * (steps - 1) / (points - 1).
+      const std::size_t index = points * (row.steps - 1) / (row.points - 1);
+      const double threshold =
+          row.lo + (row.hi - row.lo) * static_cast<double>(index) /
+                       static_cast<double>(row.steps - 1);
+      EXPECT_EQ(number_field(point, "threshold"), threshold) << point;
+      const core::SystemOperatingPoint expected = direct.evaluate(threshold);
+      EXPECT_EQ(number_field(point, "machine_fn"), expected.machine_fn);
+      EXPECT_EQ(number_field(point, "machine_fp"), expected.machine_fp);
+      EXPECT_EQ(number_field(point, "system_fn"), expected.system_fn);
+      EXPECT_EQ(number_field(point, "system_fp"), expected.system_fp);
+      EXPECT_EQ(number_field(point, "sensitivity"), expected.sensitivity);
+      EXPECT_EQ(number_field(point, "specificity"), expected.specificity);
+      EXPECT_EQ(number_field(point, "recall_rate"), expected.recall_rate);
+      EXPECT_EQ(number_field(point, "ppv"), expected.ppv);
+      ++points;
+    }
+    EXPECT_EQ(points, row.points) << out;
   }
-  EXPECT_EQ(points, 11u) << out;
 }
 
 /// One request line per cached endpoint.
@@ -256,11 +268,13 @@ TEST(ServeServiceTest, CompareRanksByFieldFailure) {
   EXPECT_LT(better, worse) << out;  // lower failure ranks first
 }
 
-TEST(ServeServiceTest, SweepDeadlineExpiresMidCompute) {
+TEST(ServeServiceTest, MinimiseDeadlineExpiresMidCompute) {
+  // A 100000-step scan runs as 13 deadline-checked chunks and takes
+  // several ms, well past a 1 ms deadline.
   auto service = make_service();
   const std::string out = respond(
       service,
-      "{\"op\":\"sweep\",\"deadline_ms\":1,"
+      "{\"op\":\"minimise\",\"deadline_ms\":1,"
       "\"params\":{\"steps\":100000}}");
   EXPECT_TRUE(has_error_code(out, "deadline_exceeded")) << out;
 }
