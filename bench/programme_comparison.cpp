@@ -4,9 +4,10 @@
 // screened population (field mix, 0.7% prevalence) for sensitivity,
 // specificity, recall rate, PPV, workload and cost.
 //
-// Also cross-checks the closed-form TwoReadersWithCadtModel against the
-// simulation, including the error of assuming the two readers fail
-// independently despite sharing one machine.
+// Also compares the closed-form TwoReadersWithCadtModel of the mechanistic
+// world (TwoReaderWorld::ground_truth) with its exact joint failure,
+// including the error of assuming the two readers fail independently
+// despite sharing one machine.
 #include <cmath>
 #include <iostream>
 
@@ -19,7 +20,6 @@
 #include "screening/population.hpp"
 #include "screening/programme.hpp"
 #include "sim/feature_world.hpp"
-#include "sim/ground_truth.hpp"
 
 int main(int argc, char** argv) {
   using namespace hmdiv;
@@ -52,20 +52,9 @@ int main(int argc, char** argv) {
 
   // Closed-form check: two readers sharing a CADT, from the ground-truth
   // parameters of the mechanistic world.
-  auto frozen = sim::reference_feature_world();
-  frozen.set_adaptation_enabled(false);
-  const auto truth = sim::ground_truth_model(frozen);
-  std::vector<double> p_mf(2);
-  std::vector<core::ReaderConditional> reader(2);
-  for (std::size_t x = 0; x < 2; ++x) {
-    p_mf[x] = truth.parameters(x).p_machine_fails;
-    reader[x].p_fail_given_machine_fails =
-        truth.parameters(x).p_human_fails_given_machine_fails;
-    reader[x].p_fail_given_machine_succeeds =
-        truth.parameters(x).p_human_fails_given_machine_succeeds;
-  }
-  const core::TwoReadersWithCadtModel pair({"easy", "difficult"}, p_mf,
-                                           reader, reader);
+  const sim::TwoReaderWorld pair_world(world.generator(), world.cadt(),
+                                       world.reader(), world.reader());
+  const core::TwoReadersWithCadtModel pair = pair_world.ground_truth();
   const core::DemandProfile trial_mix({"easy", "difficult"}, {0.8, 0.2});
   const double exact = pair.system_failure_probability(trial_mix);
   const double naive =
@@ -74,8 +63,6 @@ int main(int argc, char** argv) {
       pair.reader_a_alone().system_failure_probability(trial_mix);
   // The joint failure with the shared *within-class* residual difficulty
   // included — stricter than the conditional-independence closed form.
-  sim::TwoReaderWorld pair_world(frozen.generator(), frozen.cadt(),
-                                 frozen.reader(), frozen.reader());
   const double joint = pair_world.exact_system_failure(trial_mix);
   report::Table closed({"quantity", "P(false negative)"});
   closed.caption("Closed-form two-readers-with-CADT (cancer cases)");

@@ -1,38 +1,27 @@
-// Simulation of the "two readers assisted by a CADT" configuration named
-// in the paper's Conclusions: the machine processes the case once; both
-// readers independently interpret the case *plus the same prompts*; the
-// programme recalls if either reader recalls.
+// The "two readers assisted by a CADT" configuration named in the
+// paper's Conclusions: the machine processes the case once; both readers
+// independently interpret the case *plus the same prompts*; the programme
+// recalls if either reader recalls.
 //
-// Emits per-case records with both readers' outcomes so the
-// TwoReadersWithCadtModel's parameters — including the between-reader
-// correlation induced by the shared machine — can be estimated and checked
-// against the closed form.
+// Exposes two exact integrals over the case-difficulty distributions: the
+// conditional-independence TwoReadersWithCadtModel an analyst would write
+// down, and the true joint failure, which also counts the residual
+// difficulty both readers share within a class. X2 (programme_comparison)
+// prints both; it simulates the pair through
+// screening::TwoReadersWithCadtPolicy.
 #pragma once
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/multi_reader.hpp"
 #include "sim/cadt.hpp"
 #include "sim/case_generator.hpp"
 #include "sim/reader.hpp"
-#include "stats/rng.hpp"
 
 namespace hmdiv::sim {
 
-/// Observable outcome of one demand under two readers + one CADT.
-struct TwoReaderRecord {
-  std::size_t class_index = 0;
-  bool machine_failed = false;
-  bool reader_a_failed = false;
-  bool reader_b_failed = false;
-  /// System FN iff both readers fail (recall-if-either rule).
-  [[nodiscard]] bool system_failed() const {
-    return reader_a_failed && reader_b_failed;
-  }
-};
-
-/// Two static readers sharing one machine over a case stream.
+/// Two static readers sharing one machine.
 class TwoReaderWorld {
  public:
   TwoReaderWorld(CaseGenerator generator, CadtModel cadt, ReaderModel reader_a,
@@ -44,10 +33,6 @@ class TwoReaderWorld {
   [[nodiscard]] const std::vector<std::string>& class_names() const {
     return generator_.profile().class_names();
   }
-
-  [[nodiscard]] TwoReaderRecord simulate_case(stats::Rng& rng);
-  [[nodiscard]] std::vector<TwoReaderRecord> run(std::uint64_t cases,
-                                                 stats::Rng& rng);
 
   /// The conditional-independence model of this world (readers independent
   /// given class + machine outcome), integrated exactly over the difficulty
@@ -79,23 +64,5 @@ class TwoReaderWorld {
   ReaderModel reader_a_;
   ReaderModel reader_b_;
 };
-
-/// Estimated per-class parameters of the two-reader system.
-struct TwoReaderEstimate {
-  std::vector<std::string> class_names;
-  std::vector<double> p_machine_fails;
-  std::vector<core::ReaderConditional> reader_a;
-  std::vector<core::ReaderConditional> reader_b;
-  /// Observed system (both-fail) rate, overall.
-  double observed_system_failure = 0.0;
-
-  [[nodiscard]] core::TwoReadersWithCadtModel fitted_model() const;
-};
-
-/// Maximum-likelihood proportions from two-reader records. Throws if any
-/// class has no cases.
-[[nodiscard]] TwoReaderEstimate estimate_two_reader_model(
-    const std::vector<TwoReaderRecord>& records,
-    const std::vector<std::string>& class_names);
 
 }  // namespace hmdiv::sim
