@@ -24,7 +24,6 @@
 #include <iostream>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,17 +77,6 @@ using namespace hmdiv;
          "bootstrap replicates and posterior predictive draws (default\n"
          "500, range [100, 10000000]).\n";
   std::exit(exit_code);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "hmdiv_analyze: cannot open '" << path << "'\n";
-    std::exit(2);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 struct Improvement {
@@ -316,18 +304,21 @@ int main(int argc, char** argv) {
   if (profile) obs::set_enabled(true);
 
   try {
+    const auto read = [](const std::string& path) {
+      return cli::read_file("hmdiv_analyze", path);
+    };
     core::SequentialModel model =
         use_example ? core::paper::example_model()
         : model_path
-            ? core::parse_sequential_model(read_file(*model_path))
+            ? core::parse_sequential_model(read(*model_path))
             : (usage(2), core::paper::example_model());
     core::DemandProfile trial =
         use_example ? core::paper::trial_profile()
-        : trial_path ? core::parse_demand_profile(read_file(*trial_path))
+        : trial_path ? core::parse_demand_profile(read(*trial_path))
                      : (usage(2), core::paper::trial_profile());
     core::DemandProfile field =
         use_example ? core::paper::field_profile()
-        : field_path ? core::parse_demand_profile(read_file(*field_path))
+        : field_path ? core::parse_demand_profile(read(*field_path))
                      : (usage(2), core::paper::field_profile());
 
     std::cout << core::analysis_report(model, trial, field, options);

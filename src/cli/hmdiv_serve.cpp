@@ -18,10 +18,8 @@
 #include <arpa/inet.h>
 
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 
@@ -56,17 +54,6 @@ constexpr const char* kBindForm = "IPV4:PORT";
          "--threads N is the per-request compute thread budget (default\n"
          "1; requests are already parallel across connections).\n";
   std::exit(exit_code);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "hmdiv_serve: cannot open '" << path << "'\n";
-    std::exit(2);
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 serve::Server* g_server = nullptr;
@@ -149,9 +136,16 @@ int main(int argc, char** argv) {
                       core::paper::trial_profile(),
                       core::paper::field_profile(), service_options);
     } else {
-      service.emplace(core::parse_sequential_model(read_file(model_path)),
-                      core::parse_demand_profile(read_file(trial_path)),
-                      core::parse_demand_profile(read_file(field_path)),
+      // One statement per file, so the files are read and checked in
+      // flag order.
+      const auto read = [](const std::string& path) {
+        return cli::read_file("hmdiv_serve", path);
+      };
+      core::SequentialModel model =
+          core::parse_sequential_model(read(model_path));
+      core::DemandProfile trial = core::parse_demand_profile(read(trial_path));
+      core::DemandProfile field = core::parse_demand_profile(read(field_path));
+      service.emplace(std::move(model), std::move(trial), std::move(field),
                       service_options);
     }
   } catch (const std::exception& e) {

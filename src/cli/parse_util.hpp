@@ -1,4 +1,5 @@
-// Shared hardened option parsing for the hmdiv command-line tools.
+// Shared hardened option parsing and input-file reading for the hmdiv
+// command-line tools.
 //
 // Every integer-valued flag across the CLIs wants the same rejection
 // table: empty values, leading/trailing garbage ("2x" must not pass as
@@ -12,7 +13,9 @@
 #include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 
@@ -42,6 +45,22 @@ namespace hmdiv::cli {
     std::exit(2);
   }
   return parsed;
+}
+
+/// Returns the whole text of the file at `path`. If it cannot be opened,
+/// prints
+///   <program>: cannot open '<path>'
+/// to stderr and exits 2.
+[[nodiscard]] inline std::string read_file(const char* program,
+                                           const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << program << ": cannot open '" << path << "'\n";
+    std::exit(2);
+  }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
 }
 
 /// A parsed "host:port" endpoint. `host` keeps the textual form handed to
