@@ -10,6 +10,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "exec/parallel.hpp"
 #include "report/format.hpp"
 #include "report/table.hpp"
 #include "sim/estimation.hpp"
@@ -36,7 +37,8 @@ int main() {
   }
   std::cout << params << '\n';
 
-  // End-to-end simulation under trial and field mixes.
+  // End-to-end simulation under trial and field mixes, as two pool tasks:
+  // each builds its own world and draws from its own seed.
   auto simulate = [&](const core::DemandProfile& profile, std::uint64_t seed) {
     auto w = sim::reference_feature_world(profile);
     w.set_adaptation_enabled(false);
@@ -46,8 +48,14 @@ int main() {
   };
   const core::DemandProfile trial({"easy", "difficult"}, {0.8, 0.2});
   const core::DemandProfile field({"easy", "difficult"}, {0.9, 0.1});
-  const auto trial_data = simulate(trial, 62);
-  const auto field_data = simulate(field, 63);
+  sim::TrialData trial_data, field_data;
+  exec::parallel_for(2, 1, [&](std::size_t i) {
+    if (i == 0) {
+      trial_data = simulate(trial, 62);
+    } else {
+      field_data = simulate(field, 63);
+    }
+  });
 
   report::Table check({"profile", "Eq. (8) prediction", "simulated pipeline",
                        "|error|"});

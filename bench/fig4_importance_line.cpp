@@ -7,8 +7,11 @@
 // Monte-Carlo simulation of a world whose PMf(x) is set to the swept value.
 #include <cmath>
 #include <iostream>
+#include <iterator>
+#include <vector>
 
 #include "core/paper_example.hpp"
+#include "exec/parallel.hpp"
 #include "report/format.hpp"
 #include "report/table.hpp"
 #include "sim/tabular_world.hpp"
@@ -39,21 +42,30 @@ int main() {
   std::cout << series << '\n';
 
   // Monte-Carlo validation: build single-class worlds at swept PMf values.
+  // Point i = class·3 + j is one pool task on its own world and seed
+  // 100 + i; the table is then filled in point order.
+  constexpr double kSweptPmf[] = {0.1, 0.5, 0.9};
+  constexpr std::size_t kPerClass = std::size(kSweptPmf);
+  const std::size_t points = model.class_count() * kPerClass;
+  std::vector<double> simulated_at(points);
+  exec::parallel_for(points, 1, [&](std::size_t i) {
+    core::ClassConditional c = model.parameters(i / kPerClass);
+    c.p_machine_fails = kSweptPmf[i % kPerClass];
+    const core::SequentialModel swept({"only"}, {c});
+    const core::DemandProfile degenerate({"only"}, {1.0});
+    sim::TabularWorld world(swept, degenerate);
+    sim::TrialRunner runner(world, 200000);
+    stats::Rng rng(100 + i);
+    simulated_at[i] = runner.run(rng).observed_failure_rate();
+  });
   bool simulation_ok = true;
   report::Table validation(
       {"class", "PMf", "line PHf", "simulated PHf", "|error|"});
   validation.caption("Simulation check (200k cases per point)");
-  std::uint64_t seed = 100;
   for (std::size_t x = 0; x < model.class_count(); ++x) {
-    for (const double pmf : {0.1, 0.5, 0.9}) {
-      core::ClassConditional c = model.parameters(x);
-      c.p_machine_fails = pmf;
-      const core::SequentialModel swept({"only"}, {c});
-      const core::DemandProfile degenerate({"only"}, {1.0});
-      sim::TabularWorld world(swept, degenerate);
-      sim::TrialRunner runner(world, 200000);
-      stats::Rng rng(seed++);
-      const double simulated = runner.run(rng).observed_failure_rate();
+    for (std::size_t j = 0; j < kPerClass; ++j) {
+      const double pmf = kSweptPmf[j];
+      const double simulated = simulated_at[x * kPerClass + j];
       const double predicted = model.importance_line(x).at(pmf);
       validation.row({model.class_names()[x], fixed(pmf, 1),
                       fixed(predicted, 4), fixed(simulated, 4),

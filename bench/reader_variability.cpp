@@ -9,7 +9,10 @@
 // i.e. the trial data *can* indicate the range of abilities, and the
 // analysis correctly refuses to see heterogeneity that is not there.
 #include <iostream>
+#include <iterator>
+#include <vector>
 
+#include "exec/parallel.hpp"
 #include "report/format.hpp"
 #include "report/table.hpp"
 #include "sim/feature_world.hpp"
@@ -25,9 +28,14 @@ int main() {
   std::cout << "== X5: panel heterogeneity vs fitted over-dispersion ==\n";
   report::Table table({"skill sigma", "rate range (min..max)", "mean rate",
                        "beta-binomial rho"});
-  std::vector<double> rhos;
-  stats::Rng rng(13579);
-  for (const double sigma : {0.0, 0.15, 0.3, 0.6}) {
+  // Each spread's panel, trial and fit is one pool task on its own split
+  // streams; the table is then filled in spread order.
+  constexpr double kSigmas[] = {0.0, 0.15, 0.3, 0.6};
+  constexpr std::size_t kPanels = std::size(kSigmas);
+  std::vector<sim::PanelAnalysis> analyses(kPanels);
+  const stats::Rng rng(13579);
+  exec::parallel_for(kPanels, 1, [&](std::size_t i) {
+    const double sigma = kSigmas[i];
     stats::Rng panel_rng = rng.split(static_cast<std::uint64_t>(sigma * 100));
     const auto panel =
         sim::ReaderPanel::sample(base_config, 12, sigma, panel_rng);
@@ -35,7 +43,12 @@ int main() {
                                                 sigma * 100));
     const auto records = sim::run_panel_trial(
         base_world.generator(), base_world.cadt(), panel, 36000, trial_rng);
-    const auto analysis = sim::analyse_panel(records, panel.size());
+    analyses[i] = sim::analyse_panel(records, panel.size());
+  });
+  std::vector<double> rhos;
+  for (std::size_t i = 0; i < kPanels; ++i) {
+    const double sigma = kSigmas[i];
+    const sim::PanelAnalysis& analysis = analyses[i];
     table.row({fixed(sigma, 2),
                fixed(analysis.lowest_rate, 3) + " .. " +
                    fixed(analysis.highest_rate, 3),

@@ -19,9 +19,11 @@
 // Both closed forms are validated by Monte-Carlo over simulated trials.
 #include <cmath>
 #include <iostream>
+#include <vector>
 
 #include "core/paper_example.hpp"
 #include "core/trial_design.hpp"
+#include "exec/parallel.hpp"
 #include "report/format.hpp"
 #include "report/table.hpp"
 #include "sim/estimation.hpp"
@@ -41,19 +43,28 @@ struct MonteCarlo {
 MonteCarlo monte_carlo(const core::TrialDesign& design,
                        const core::SequentialModel& truth,
                        const core::DemandProfile& field, std::uint64_t seed) {
-  stats::OnlineStats predictions, t_estimates;
-  stats::Rng rng(seed);
+  constexpr std::size_t kReplicates = 200;
+  const stats::Rng rng(seed);
   const auto total = static_cast<std::uint64_t>(
       std::llround(design.cases[0] + design.cases[1]));
-  for (int replicate = 0; replicate < 200; ++replicate) {
+  // Replicate r runs on the pool on rng.split(r) into slot r. The running
+  // statistics are then fed in replicate order: Welford's update order
+  // sets the printed bits.
+  std::vector<double> prediction(kReplicates), t_difficult(kReplicates);
+  exec::parallel_for(kReplicates, 10, [&](std::size_t replicate) {
     sim::TabularWorld world(truth, design.trial_profile);
     sim::TrialRunner runner(world, total);
-    stats::Rng run_rng = rng.split(static_cast<std::uint64_t>(replicate));
+    stats::Rng run_rng = rng.split(replicate);
     const auto estimate = sim::estimate_sequential_model(runner.run(run_rng));
-    predictions.add(
-        estimate.fitted_model().system_failure_probability(field));
-    t_estimates.add(estimate.classes[core::paper::kDifficult]
-                        .importance_index());
+    prediction[replicate] =
+        estimate.fitted_model().system_failure_probability(field);
+    t_difficult[replicate] =
+        estimate.classes[core::paper::kDifficult].importance_index();
+  });
+  stats::OnlineStats predictions, t_estimates;
+  for (std::size_t replicate = 0; replicate < kReplicates; ++replicate) {
+    predictions.add(prediction[replicate]);
+    t_estimates.add(t_difficult[replicate]);
   }
   return MonteCarlo{predictions.stddev(), t_estimates.stddev()};
 }

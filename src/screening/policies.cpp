@@ -18,15 +18,15 @@ bool reader_votes_recall(const sim::ReaderModel& reader, const sim::Case& c,
 
 }  // namespace detail
 
-SingleReaderPolicy::SingleReaderPolicy(sim::ReaderModel reader,
+// No CADT in the loop: an unaided reader behaves as if never prompted and
+// with no reliance penalty, so the unaided policies keep a zero-reliance
+// copy of each reader, made once here, and use its unprompted response.
+SingleReaderPolicy::SingleReaderPolicy(const sim::ReaderModel& reader,
                                        std::string name)
-    : reader_(std::move(reader)), name_(std::move(name)) {}
+    : reader_(reader.with_reliance(0.0)), name_(std::move(name)) {}
 
 bool SingleReaderPolicy::decide_recall(const sim::Case& c, stats::Rng& rng) {
-  // No CADT in the loop: the reader behaves as if never prompted and with
-  // no reliance penalty, so use a zero-reliance copy's unprompted response.
-  const sim::ReaderModel unaided = reader_.with_reliance(0.0);
-  return detail::reader_votes_recall(unaided, c, /*prompted=*/false, rng);
+  return detail::reader_votes_recall(reader_, c, /*prompted=*/false, rng);
 }
 
 ReaderWithCadtPolicy::ReaderWithCadtPolicy(sim::ReaderModel reader,
@@ -41,14 +41,14 @@ bool ReaderWithCadtPolicy::decide_recall(const sim::Case& c,
   return detail::reader_votes_recall(reader_, c, prompted, rng);
 }
 
-DoubleReadingPolicy::DoubleReadingPolicy(sim::ReaderModel reader_a,
-                                         sim::ReaderModel reader_b,
-                                         std::optional<sim::ReaderModel> arbiter,
-                                         std::string name)
-    : reader_a_(std::move(reader_a)),
-      reader_b_(std::move(reader_b)),
-      arbiter_(std::move(arbiter)),
-      name_(std::move(name)) {}
+DoubleReadingPolicy::DoubleReadingPolicy(
+    const sim::ReaderModel& reader_a, const sim::ReaderModel& reader_b,
+    const std::optional<sim::ReaderModel>& arbiter, std::string name)
+    : reader_a_(reader_a.with_reliance(0.0)),
+      reader_b_(reader_b.with_reliance(0.0)),
+      name_(std::move(name)) {
+  if (arbiter.has_value()) arbiter_ = arbiter->with_reliance(0.0);
+}
 
 double DoubleReadingPolicy::readings_per_case() const {
   if (!arbiter_.has_value()) return 2.0;
@@ -59,15 +59,12 @@ double DoubleReadingPolicy::readings_per_case() const {
 
 bool DoubleReadingPolicy::decide_recall(const sim::Case& c, stats::Rng& rng) {
   ++cases_seen_;
-  const sim::ReaderModel a = reader_a_.with_reliance(0.0);
-  const sim::ReaderModel b = reader_b_.with_reliance(0.0);
-  const bool recall_a = detail::reader_votes_recall(a, c, false, rng);
-  const bool recall_b = detail::reader_votes_recall(b, c, false, rng);
+  const bool recall_a = detail::reader_votes_recall(reader_a_, c, false, rng);
+  const bool recall_b = detail::reader_votes_recall(reader_b_, c, false, rng);
   if (recall_a == recall_b) return recall_a;
   if (!arbiter_.has_value()) return true;  // recall if either recalls
   ++arbitrations_;
-  const sim::ReaderModel arb = arbiter_->with_reliance(0.0);
-  return detail::reader_votes_recall(arb, c, false, rng);
+  return detail::reader_votes_recall(*arbiter_, c, false, rng);
 }
 
 TwoReadersWithCadtPolicy::TwoReadersWithCadtPolicy(sim::ReaderModel reader_a,

@@ -44,10 +44,11 @@ namespace detail {
                                        stats::Rng& rng);
 }  // namespace detail
 
-/// A single reader, no CADT.
+/// A single reader, no CADT. It reads as the reader does with no reliance
+/// on a machine (a zero-reliance copy, made once).
 class SingleReaderPolicy final : public ReadingPolicy {
  public:
-  explicit SingleReaderPolicy(sim::ReaderModel reader,
+  explicit SingleReaderPolicy(const sim::ReaderModel& reader,
                               std::string name = "single reader");
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] bool uses_cadt() const override { return false; }
@@ -78,12 +79,14 @@ class ReaderWithCadtPolicy final : public ReadingPolicy {
 };
 
 /// Two readers; recall iff either recalls. Optional arbiter: when the two
-/// disagree, the arbiter's own reading decides instead.
+/// disagree, the arbiter's own reading decides instead. No CADT, so every
+/// reader reads as a zero-reliance copy, made once.
 class DoubleReadingPolicy final : public ReadingPolicy {
  public:
-  DoubleReadingPolicy(sim::ReaderModel reader_a, sim::ReaderModel reader_b,
-                      std::optional<sim::ReaderModel> arbiter = std::nullopt,
-                      std::string name = "double reading");
+  DoubleReadingPolicy(
+      const sim::ReaderModel& reader_a, const sim::ReaderModel& reader_b,
+      const std::optional<sim::ReaderModel>& arbiter = std::nullopt,
+      std::string name = "double reading");
   [[nodiscard]] const std::string& name() const override { return name_; }
   [[nodiscard]] bool uses_cadt() const override { return false; }
   [[nodiscard]] double readings_per_case() const override;

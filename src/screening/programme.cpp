@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "exec/parallel.hpp"
 #include "obs/obs.hpp"
 
 namespace hmdiv::screening {
@@ -34,14 +35,17 @@ ProgrammeResult run_programme(PopulationGenerator population,
 std::vector<ProgrammeResult> compare_policies(
     const PopulationGenerator& population,
     const std::vector<std::unique_ptr<ReadingPolicy>>& policies,
-    std::uint64_t case_count, const CostModel& costs, stats::Rng& rng) {
-  std::vector<ProgrammeResult> out;
-  out.reserve(policies.size());
-  for (std::size_t i = 0; i < policies.size(); ++i) {
-    stats::Rng stream = rng.split(i + 1);
-    out.push_back(run_programme(population, *policies[i], case_count, costs,
-                                stream));
-  }
+    std::uint64_t case_count, const CostModel& costs, stats::Rng& rng,
+    const exec::Config& config) {
+  std::vector<ProgrammeResult> out(policies.size());
+  exec::parallel_for(
+      policies.size(), 1,
+      [&](std::size_t i) {
+        stats::Rng stream = rng.split(i + 1);
+        out[i] = run_programme(population, *policies[i], case_count, costs,
+                               stream);
+      },
+      config);
   return out;
 }
 

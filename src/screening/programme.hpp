@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/config.hpp"
 #include "screening/metrics.hpp"
 #include "screening/policies.hpp"
 #include "screening/population.hpp"
@@ -29,10 +30,14 @@ struct ProgrammeResult {
 
 /// Runs every policy over the same number of cases (each with its own
 /// deterministic RNG stream split from `rng`, so results are comparable
-/// and reproducible).
+/// and reproducible). Policy i is one pool task on `rng.split(i + 1)` and
+/// lands in result i, so the results are bit-identical at any thread count.
+/// Each task drives its own policy object only, and exceptions from a task
+/// (e.g. `case_count` 0) reach the caller.
 [[nodiscard]] std::vector<ProgrammeResult> compare_policies(
     const PopulationGenerator& population,
     const std::vector<std::unique_ptr<ReadingPolicy>>& policies,
-    std::uint64_t case_count, const CostModel& costs, stats::Rng& rng);
+    std::uint64_t case_count, const CostModel& costs, stats::Rng& rng,
+    const exec::Config& config = {});
 
 }  // namespace hmdiv::screening

@@ -38,7 +38,7 @@ double beta_pdf(double a, double b, double x) {
   if (x == 0.0) return a < 1.0 ? HUGE_VAL : (a == 1.0 ? b : 0.0);
   if (x == 1.0) return b < 1.0 ? HUGE_VAL : (b == 1.0 ? a : 0.0);
   const double log_pdf = (a - 1.0) * std::log(x) + (b - 1.0) * std::log1p(-x) +
-                         std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b);
+                         log_gamma(a + b) - log_gamma(a) - log_gamma(b);
   return std::exp(log_pdf);
 }
 

@@ -56,19 +56,24 @@ double beta_continued_fraction(double a, double b, double x) {
 
 }  // namespace
 
+double log_gamma(double x) noexcept {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 double log_factorial(unsigned long long n) {
-  // Table of lgamma(n + 1) values (not cumulative log sums), so the cached
-  // range returns exactly what the direct computation would. Magic-static
-  // initialisation makes the one-time build thread-safe.
+  // Table of log_gamma(n + 1) values (not cumulative log sums), so the
+  // cached range returns exactly what the direct computation would.
+  // Magic-static initialisation makes the one-time build thread-safe.
   static const std::vector<double> table = [] {
     std::vector<double> t(4096);
     for (std::size_t i = 0; i < t.size(); ++i) {
-      t[i] = std::lgamma(static_cast<double>(i) + 1.0);
+      t[i] = log_gamma(static_cast<double>(i) + 1.0);
     }
     return t;
   }();
   if (n < table.size()) return table[n];
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0);
 }
 
 double log_binomial_coefficient(unsigned long long n, unsigned long long k) {
@@ -87,15 +92,15 @@ double regularized_incomplete_beta(double a, double b, double x) {
   }
   if (x == 0.0) return 0.0;
   if (x == 1.0) return 1.0;
-  const double log_front = std::lgamma(a + b) - std::lgamma(a) -
-                           std::lgamma(b) + a * std::log(x) +
+  const double log_front = log_gamma(a + b) - log_gamma(a) -
+                           log_gamma(b) + a * std::log(x) +
                            b * std::log1p(-x);
   const double front = std::exp(log_front);
   // Use the symmetry transformation for faster convergence.
   if (x < (a + 1.0) / (a + b + 2.0)) {
     return front * beta_continued_fraction(a, b, x) / a;
   }
-  return 1.0 - std::exp(std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b) +
+  return 1.0 - std::exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b) +
                         a * std::log(x) + b * std::log1p(-x)) *
                    beta_continued_fraction(b, a, 1.0 - x) / b;
 }
@@ -119,7 +124,7 @@ double regularized_lower_incomplete_gamma(double a, double x) {
       sum += term;
       if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
     }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+    return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
   }
   // Continued fraction for the upper tail Q(a,x); P = 1 - Q.
   double b0 = x + 1.0 - a;
@@ -138,7 +143,7 @@ double regularized_lower_incomplete_gamma(double a, double x) {
     h *= del;
     if (std::fabs(del - 1.0) < kEpsilon) break;
   }
-  const double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
+  const double q = std::exp(-x + a * std::log(x) - log_gamma(a)) * h;
   return 1.0 - q;
 }
 

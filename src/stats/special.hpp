@@ -8,9 +8,16 @@
 
 namespace hmdiv::stats {
 
-/// ln(n!) = lgamma(n + 1). Values for n < 4096 come from a table computed
-/// once per process (each entry is the std::lgamma value, so cached and
-/// uncached results are bit-identical); larger n fall back to std::lgamma.
+/// ln|Γ(x)|, bit for bit what std::lgamma returns. std::lgamma also writes
+/// the process-global `signgam`, so two calls on pool threads race; this
+/// one goes through the reentrant lgamma_r, which keeps the sign local.
+/// Every log-gamma in the library goes through here.
+[[nodiscard]] double log_gamma(double x) noexcept;
+
+/// ln(n!) = log_gamma(n + 1). Values for n < 4096 come from a table
+/// computed once per process (each entry is the log_gamma value, so cached
+/// and uncached results are bit-identical); larger n fall back to
+/// log_gamma.
 /// Hot pmf/likelihood loops call this instead of paying three lgamma
 /// evaluations per term.
 [[nodiscard]] double log_factorial(unsigned long long n);

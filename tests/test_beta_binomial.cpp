@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "exec/parallel.hpp"
 #include "stats/rng.hpp"
 
 namespace hmdiv::stats {
@@ -69,6 +71,32 @@ TEST(BetaBinomial, LikelihoodPrefersTrueParameters) {
   const double at_truth = beta_binomial_log_likelihood(data, 3.0, 12.0);
   const double far_off = beta_binomial_log_likelihood(data, 50.0, 10.0);
   EXPECT_GT(at_truth, far_off);
+}
+
+TEST(BetaBinomial, PoolFitsMatchSerialFitsBitwise) {
+  // reader_variability fits its panels on pool threads. Each fit must be
+  // the serial fit's exact doubles, and the fits must not share state:
+  // std::lgamma's global signgam did, which ThreadSanitizer reports here.
+  Rng rng(559);
+  std::vector<std::vector<CountObservation>> sets;
+  for (int s = 0; s < 8; ++s) {
+    sets.push_back(simulate(2.0 + s, 10.0, 12, 3000, rng));
+  }
+  std::vector<BetaBinomialFit> serial;
+  for (const auto& set : sets) serial.push_back(fit_beta_binomial_mle(set));
+  std::vector<BetaBinomialFit> pooled(sets.size());
+  exec::parallel_for(
+      sets.size(), 1,
+      [&](std::size_t i) { pooled[i] = fit_beta_binomial_mle(sets[i]); },
+      exec::Config{4});
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&pooled[i].alpha, &serial[i].alpha, sizeof(double)),
+              0)
+        << i;
+    EXPECT_EQ(std::memcmp(&pooled[i].beta, &serial[i].beta, sizeof(double)),
+              0)
+        << i;
+  }
 }
 
 TEST(BetaBinomial, RejectsBadInput) {

@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
+#include "exec/config.hpp"
 #include "obs/obs.hpp"
 #include "screening/metrics.hpp"
 #include "screening/policies.hpp"
@@ -159,22 +161,77 @@ TEST(Programme, ArbitrationRecoversSpecificity) {
   EXPECT_GT(r_arb.metrics.readings_per_case, 2.0);
 }
 
-TEST(Programme, ComparePoliciesIsDeterministicInSeed) {
+TEST(Programme, UnaidedPoliciesIgnoreTheReadersReliance) {
+  // With no CADT there is nothing to rely on: the unaided policies read as
+  // a zero-reliance copy of each reader, so a reader built relying on the
+  // machine must give the very counts of one built not relying on it.
+  const auto world = fixture();
+  const auto population = PopulationGenerator::reference(0.1);
+  sim::ReaderModel::Config config = world.reader().config();
+  config.initial_reliance = 0.5;
+  const sim::ReaderModel relying(config);
+  config.initial_reliance = 0.0;
+  const sim::ReaderModel not_relying(config);
+  auto counts = [&](ReadingPolicy& policy) {
+    stats::Rng rng(47);
+    return run_programme(population, policy, 20000, CostModel{}, rng);
+  };
+  SingleReaderPolicy single_relying(relying);
+  SingleReaderPolicy single_not_relying(not_relying);
+  DoubleReadingPolicy double_relying(relying, relying, relying);
+  DoubleReadingPolicy double_not_relying(not_relying, not_relying,
+                                         not_relying);
+  const ProgrammeResult pairs[][2] = {
+      {counts(single_relying), counts(single_not_relying)},
+      {counts(double_relying), counts(double_not_relying)}};
+  for (const auto& pair : pairs) {
+    EXPECT_EQ(pair[0].counts.true_positives, pair[1].counts.true_positives);
+    EXPECT_EQ(pair[0].counts.false_negatives, pair[1].counts.false_negatives);
+    EXPECT_EQ(pair[0].counts.false_positives, pair[1].counts.false_positives);
+    EXPECT_EQ(pair[0].counts.true_negatives, pair[1].counts.true_negatives);
+    EXPECT_EQ(pair[0].metrics.readings_per_case,
+              pair[1].metrics.readings_per_case);
+  }
+}
+
+TEST(Programme, ComparePoliciesIsBitIdenticalAcrossThreadCounts) {
+  // compare_policies runs each policy as one pool task on its own split
+  // stream: one thread and four must agree on every field of every result,
+  // the arbitration policy's data-dependent readings per case included.
   const auto world = fixture();
   const auto population = PopulationGenerator::reference(0.05);
   CostModel costs;
-  auto run_once = [&](std::uint64_t seed) {
+  auto run_at = [&](unsigned threads, std::uint64_t case_count) {
     auto policies = standard_policies(world.reader(), world.cadt());
-    stats::Rng rng(seed);
-    return compare_policies(population, policies, 5000, costs, rng);
+    stats::Rng rng(7);
+    return compare_policies(population, policies, case_count, costs, rng,
+                            exec::Config{threads});
   };
-  const auto a = run_once(7);
-  const auto b = run_once(7);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].counts.true_positives, b[i].counts.true_positives) << i;
-    EXPECT_EQ(a[i].counts.false_positives, b[i].counts.false_positives) << i;
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+  };
+  const auto serial = run_at(1, 5000);
+  const auto pooled = run_at(4, 5000);
+  ASSERT_EQ(serial.size(), 7u);
+  ASSERT_EQ(pooled.size(), serial.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const ProgrammeResult& a = serial[i];
+    const ProgrammeResult& b = pooled[i];
+    EXPECT_EQ(a.policy_name, b.policy_name) << i;
+    EXPECT_EQ(a.counts.true_positives, b.counts.true_positives) << i;
+    EXPECT_EQ(a.counts.false_negatives, b.counts.false_negatives) << i;
+    EXPECT_EQ(a.counts.false_positives, b.counts.false_positives) << i;
+    EXPECT_EQ(a.counts.true_negatives, b.counts.true_negatives) << i;
+    EXPECT_TRUE(same_bits(a.metrics.readings_per_case,
+                          b.metrics.readings_per_case))
+        << i;
+    EXPECT_TRUE(same_bits(a.cost_per_case, b.cost_per_case)) << i;
   }
+  // Policy 3 arbitrates, so its workload is measured, not fixed.
+  EXPECT_EQ(serial[3].policy_name, "double reading + arbitration");
+  EXPECT_GT(serial[3].metrics.readings_per_case, 2.0);
+  // A pool task's failure reaches the caller.
+  EXPECT_THROW(static_cast<void>(run_at(4, 0)), std::invalid_argument);
 }
 
 TEST(Programme, ProfiledRunsRecordTheirSpans) {
